@@ -246,6 +246,9 @@ def main(argv=None):
     except EmsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory (the machine's pair space is too large)", file=sys.stderr)
+        return 3
     if report is not None:
         print(render_report(report, args.format))
     return 0

@@ -10,6 +10,7 @@ log-likelihood ratio accumulated along a component's edges sets the rate at
 which an observer's residual uncertainty shrinks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -47,21 +48,16 @@ def pair_matrix(pa):
     return PairMatrix(pa)
 
 
-def _block_radius(A, eps, max_iter):
-    """Spectral radius of an irreducible nonnegative matrix by bracketed
-    power iteration.
+def _power_steps(A, d, x, windows=None):
+    """Bracketed power iteration from positive x, in windows of d steps.
 
     For positive x the quotient (A^d x)_i / x_i brackets rho(A)^d between
     its extremes (d = period of the support graph; stepping in windows of d
     keeps the bracket contracting when A^d splits into primitive diagonal
-    blocks).  Certified: the true value always lies inside [lo, hi].
+    blocks).  Yields one certified bracket per window; after `windows`
+    windows (never, when None) returns the current vector.
     """
-    b = A.shape[0]
-    adjacency = [np.flatnonzero(A[i] > 0) for i in range(b)]
-    d = component_period(list(range(b)), lambda u: adjacency[u])
-    x = np.full(b, 1.0 / b)
-    bracket = (0.0, math.inf)
-    for _ in range(max_iter):
+    for _ in itertools.repeat(None) if windows is None else range(windows):
         z = x
         shift = 0.0
         for _ in range(d):
@@ -70,25 +66,83 @@ def _block_radius(A, eps, max_iter):
             shift += math.log(s)
             z = z / s
         log_ratio = (shift + np.log(z) - np.log(x)) / d
-        bracket = (math.exp(float(log_ratio.min())), math.exp(float(log_ratio.max())))
-        if bracket[1] - bracket[0] <= eps:
-            return 0.5 * (bracket[0] + bracket[1])
+        yield math.exp(float(log_ratio.min())), math.exp(float(log_ratio.max()))
         x = z
-    raise ConvergenceError("power iteration hit the iteration cap", bracket=bracket)
+    return x
+
+
+def _noda_steps(A, x):
+    """Noda iteration from positive x (Numer. Math. 17, 1971).
+
+    Each vector's Collatz-Wielandt extremes min/max (Ax)_i / x_i bracket
+    rho(A); the upper one, sigma, shifts the next solve (sigma I - A) y = x.
+    For irreducible A and sigma > rho that inverse is positive, so x stays
+    positive and every bracket is certified.  Yields one bracket per vector
+    and returns the vector of the narrowest bracket as soon as a solve is
+    singular, leaves the positive cone, or a bracket fails to narrow.
+    """
+    best, best_width = x, math.inf
+    while True:
+        ratio = (A @ x) / x
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if not hi - lo < best_width:
+            return best
+        best, best_width = x, hi - lo
+        yield lo, hi
+        shifted = -A
+        shifted.flat[:: A.shape[0] + 1] += hi
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            return best
+        if not (np.isfinite(y).all() and y.min() > 0):
+            return best
+        x = y / y.max()
+
+
+def _radius_steps(A, d):
+    """Brackets of the certified iteration on an irreducible block.
+
+    Power iteration runs until its matrix-vector work matches one dense
+    factorisation of the b x b block (b windows); a block still open then
+    hands its vector to Noda iteration, whose steps each cost a
+    factorisation but converge superlinearly whatever the gap |l2/l1|.
+    Should Noda stall, power iteration resumes from its best vector.
+    """
+    b = A.shape[0]
+    x = yield from _power_steps(A, d, np.full(b, 1.0 / b), windows=b)
+    x = yield from _noda_steps(A, x)
+    yield from _power_steps(A, d, x)
+
+
+def _block_radius(A, d, eps, max_iter):
+    """Spectral radius of an irreducible nonnegative matrix whose support
+    graph has period d: the midpoint of the intersection [lo, hi] of the
+    certified brackets, once its width is at most eps.  The true value
+    always lies inside [lo, hi]; every power window and every Noda step
+    counts against max_iter.
+    """
+    lo, hi = 0.0, math.inf
+    for step_lo, step_hi in itertools.islice(_radius_steps(A, d), max_iter):
+        lo, hi = max(lo, step_lo), min(hi, step_hi)
+        if hi - lo <= eps:
+            return 0.5 * (lo + hi)
+    raise ConvergenceError("radius iteration hit the iteration cap", bracket=(lo, hi))
 
 
 def spectral_radius(mat, eps=1e-10, max_iter=10**6):
     """Largest-modulus eigenvalue of a nonnegative square matrix within eps.
 
     The support graph is condensed into strongly connected blocks; each
-    block runs bracketed power iteration (period-safeguarded), and the
-    maximum block value is returned.  A zero matrix gives 0.
+    block runs certified bracketed iteration (power iteration handing off
+    to Noda iteration), and the maximum block value is returned.  A zero
+    matrix gives 0.  eps must be a positive finite number.
     """
     A = np.asarray(mat, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("matrix must be square")
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise InputError("eps must be a positive finite number")
     n = A.shape[0]
     if n == 0:
         return 0.0
@@ -102,8 +156,9 @@ def spectral_radius(mat, eps=1e-10, max_iter=10**6):
         if len(block) == 1:
             value = max(value, float(A[block[0], block[0]]))
             continue
+        d = component_period(block, lambda u: adjacency[u])
         sub = A[np.ix_(block, block)]
-        value = max(value, _block_radius(sub, eps, max_iter))
+        value = max(value, _block_radius(sub, d, eps, max_iter))
     return value
 
 
@@ -318,12 +373,14 @@ def rate_report(m, eps=1e-9):
         src = None
         drifts = [edge_machine_stats(comp, pa).expectation for comp in da.components]
         prc = math.exp(-min(drifts))
+        absorbed = {pair for comp in da.components for pair in comp}
+        keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
+        escape = spectral_radius(T[np.ix_(keep, keep)], eps) if keep else 0.0
     else:
         classification = "exact"
-        src = spectral_radius(T, eps)
+        # no closed components absorb anything, so the escape restriction
+        # is the whole matrix and its radius is src
+        src = escape = spectral_radius(T, eps)
         drifts = []
         prc = 0.0
-    absorbed = {pair for comp in da.components for pair in comp}
-    keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
-    escape = spectral_radius(T[np.ix_(keep, keep)], eps) if keep else 0.0
     return RateReport(classification, src, prc, escape, drifts)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emsync import cli
 from emsync.cli import main
 from emsync.fixtures import M_1_TEXT, M_EX_TEXT, M_GM_TEXT, M_NE_TEXT
 from emsync.machine import parse_machine
@@ -285,6 +286,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert "sweep" in err
+
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_eps_must_be_positive_and_finite(self, capsys, machine_dir, eps):
+        code, out, err = run(capsys, "sync-rate", str(machine_dir / "M_EX.em"), f"--eps={eps}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "eps" in err
+
+    def test_out_of_memory(self, capsys, machine_dir, monkeypatch):
+        def exhaust(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_pred_rate", exhaust)
+        code, out, err = run(capsys, "pred-rate", str(machine_dir / "M_EX.em"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
 class TestDeterminism:

@@ -38,6 +38,44 @@ PERM4_DRIFTS = [0.0246174695139084, 0.0896051146784206, 0.113342157427772]
 PRC_PERM4 = 0.975683069170512
 
 
+def cerny_machine(n):
+    """Cerny-type exact machine: symbol a is the cycle i -> i+1, symbol b
+    sends 0 -> 1 and fixes every other state; P(a|i) runs evenly from 0.25
+    to 0.75.  Its pair chain has |l2/l1| close to 1."""
+    edges = []
+    for i in range(n):
+        p_a = 0.25 + 0.5 * i / (n - 1)
+        edges.append((str(i), "a", str((i + 1) % n), p_a))
+        edges.append((str(i), "b", "1" if i == 0 else str(i), 1.0 - p_a))
+    return EpsilonMachine([str(i) for i in range(n)], ["a", "b"], edges, name=f"cerny-{n}")
+
+
+def dense_radius(A):
+    return float(np.abs(np.linalg.eigvals(np.asarray(A))).max())
+
+
+def weighted_cycle(size, rng):
+    """Cycle 0 -> 1 -> ... -> size-1 -> 0 with random positive weights: all
+    its eigenvalues share one modulus."""
+    C = np.zeros((size, size))
+    C[np.arange(size), (np.arange(size) + 1) % size] = rng.uniform(0.5, 1.5, size)
+    return C
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts dense solves, one per Noda step."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
 class TestPairMatrix:
     def test_ex_totals(self, ref_ex):
         pm = pair_matrix(build_pair_automaton(ref_ex))
@@ -134,6 +172,37 @@ class TestSpectralRadius:
         with pytest.raises(InputError):
             spectral_radius([[0.5]], eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(InputError, match="eps"):
+            spectral_radius([[0.5, 0.3], [0.2, 0.4]], eps=eps)
+
+    def test_periodic_block_through_noda(self, solve_calls):
+        # bipartite, period 2; A^2 has its eigenvalues nearly on one circle,
+        # so the power windows leave the bracket open
+        rng = np.random.default_rng(3)
+        h = 20
+        B = weighted_cycle(h, rng) + 1e-4
+        C = weighted_cycle(h, rng) + 1e-4
+        A = np.block([[np.zeros((h, h)), B], [C, np.zeros((h, h))]])
+        eps = 1e-10
+        assert spectral_radius(A, eps=eps) == pytest.approx(dense_radius(A), abs=eps)
+        assert solve_calls and set(solve_calls) == {2 * h}
+
+    def test_slow_gap_block_through_noda(self, solve_calls):
+        # a weighted cycle plus one weak self-loop: aperiodic, |l2/l1| ~ 1
+        rng = np.random.default_rng(4)
+        A = weighted_cycle(30, rng)
+        A[0, 0] = 1e-3
+        eps = 1e-10
+        assert spectral_radius(A, eps=eps) == pytest.approx(dense_radius(A), abs=eps)
+        assert solve_calls and set(solve_calls) == {30}
+
+    def test_fast_block_stays_in_power_phase(self, solve_calls):
+        A = np.random.default_rng(5).uniform(size=(60, 60))
+        assert spectral_radius(A) == pytest.approx(dense_radius(A), abs=1e-10)
+        assert solve_calls == []
+
     def test_convergence_error_carries_bracket(self):
         with pytest.raises(ConvergenceError) as exc:
             spectral_radius([[0.5, 0.3], [0.2, 0.4]], eps=1e-300, max_iter=2)
@@ -155,6 +224,17 @@ class TestSyncRate:
     def test_non_exact_is_rejected(self, ref_ne):
         with pytest.raises(PreconditionError, match=r"not exact.*\(0, 1\)"):
             sync_rate(ref_ne)
+
+    @pytest.mark.parametrize("n", [17, 24, 32])
+    def test_cerny_machines_match_eigenvalues(self, n):
+        m = cerny_machine(n)
+        T = pair_matrix(build_pair_automaton(m)).total
+        assert sync_rate(m) == pytest.approx(dense_radius(T), abs=1e-9)
+
+    def test_slow_gap_random_machine_matches_eigenvalues(self):
+        m = random_machine(10, 2, density=0.9, seed=10)
+        T = pair_matrix(build_pair_automaton(m)).total
+        assert sync_rate(m) == pytest.approx(dense_radius(T), abs=1e-9)
 
     def test_matches_profile_decay(self, ref_ex):
         # P_pi(not synchronized after L) equals src**L at even L for this
@@ -349,6 +429,11 @@ class TestRateReport:
         assert r.prc == 0.0
         assert r.escape == pytest.approx(r.src, abs=1e-12)
         assert r.drifts == []
+
+    def test_exact_machines_reuse_src_as_escape(self, ref_ex, ref_gm, ref_1):
+        for m in (ref_ex, ref_gm, ref_1):
+            r = rate_report(m)
+            assert r.escape == r.src
 
     def test_relabeling_invariance(self, mix_machine):
         named = [
