@@ -75,7 +75,7 @@ def belief(m, pi0, word):
     phi = np.asarray(pi0, dtype=float)
     if phi.shape != (m.n,):
         raise InputError("initial distribution length must match the state count")
-    if phi.min() < 0 or abs(phi.sum() - 1.0) > 1e-9:
+    if not (np.isfinite(phi).all() and phi.min() >= 0 and abs(phi.sum() - 1.0) <= 1e-9):
         raise InputError("initial distribution must be a probability vector")
     phi = phi.copy()
     read = []
@@ -182,14 +182,7 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     pw = np.exp(log_pw)
     posterior = np.exp(log_joint - log_pw[:, None])  # per start state
 
-    # distinct live endpoints per word
-    ordered = np.sort(endpoints, axis=1)
-    if n == 1:
-        distinct = np.ones(rows, dtype=np.int64)
-    else:
-        distinct = (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1
-    distinct = distinct - (ordered[:, -1] == n)
-    nonreset = distinct > 1
+    nonreset = _distinct_live(endpoints, n) > 1
 
     # posterior over endpoints
     phi_end = np.zeros((rows, n))
@@ -431,7 +424,7 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     pa = build_pair_automaton(m)
     da = mergeable_pairs(pa)
     partners = [[] for _ in range(n)]
-    for p, q in sorted(da.deadlock):
+    for p, q in pa.pairs[~da.mask].tolist():
         partners[p].append(q)
     pieces = []
     if length > 0:

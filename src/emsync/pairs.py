@@ -4,10 +4,11 @@ The pair automaton tracks an observer's two-hypothesis ambiguity: a pair
 (p, q) survives a symbol only when both states accept it and land on
 distinct states.  Pairs from which no word ever collapses the ambiguity are
 deadlock pairs; their closed strongly connected components carry the
-asymptotic behaviour of non-exact machines.
+asymptotic behaviour of non-exact machines.  Every pair quantity is read
+from the (m, k) arrays delta2 and weight, rows in lexicographic pair order.
 """
 
-from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -24,25 +25,15 @@ class PairAutomaton:
 
     def __init__(self, machine):
         self.machine = machine
-        n, k = machine.n, machine.k
-        m = n * (n - 1)
-        pairs = np.empty((m, 2), dtype=np.int64)
-        r = 0
-        for p in range(n):
-            for q in range(n):
-                if p != q:
-                    pairs[r] = (p, q)
-                    r += 1
-        delta2 = np.full((m, k), -1, dtype=np.int64)
-        weight = np.zeros((m, k))
-        delta = machine.delta
-        for r in range(m):
-            p, q = pairs[r]
-            for j in range(k):
-                tp, tq = delta[p, j], delta[q, j]
-                if tp >= 0 and tq >= 0 and tp != tq:
-                    delta2[r, j] = self.pair_index(tp, tq)
-                    weight[r, j] = machine.probs[p, j]
+        n = machine.n
+        p, q = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        off = p != q
+        pairs = np.stack([p[off], q[off]], axis=1)
+        tp = machine.delta[pairs[:, 0]]
+        tq = machine.delta[pairs[:, 1]]
+        alive = (tp >= 0) & (tq >= 0) & (tp != tq)
+        delta2 = np.where(alive, self.pair_index(tp, tq), -1)
+        weight = np.where(alive, machine.probs[pairs[:, 0]], 0.0)
         for a in (pairs, delta2, weight):
             a.flags.writeable = False
         self.pairs = pairs
@@ -54,9 +45,9 @@ class PairAutomaton:
         return self.pairs.shape[0]
 
     def pair_index(self, p, q):
-        """Row of the ordered pair (p, q) in lexicographic order."""
-        n = self.machine.n
-        return p * (n - 1) + (q if q < p else q - 1)
+        """Row of the ordered pair (p, q) in lexicographic order; p and q
+        may be equal-shaped integer arrays."""
+        return p * (self.machine.n - 1) + q - (q > p)
 
     def pair(self, r):
         p, q = self.pairs[r]
@@ -76,21 +67,33 @@ def build_pair_automaton(m):
 class DeadlockAnalysis:
     """Split of the pair set into mergeable and deadlock pairs.
 
-    mergeable, deadlock : frozensets of (p, q) index tuples.
-    components : closed strongly connected deadlock components, or None
-        until deadlock_components has run.
+    mask : (m,) bool row mask, True on mergeable pairs.
+    component_rows : rows of each closed strongly connected deadlock
+        component, or None until deadlock_components has run.
+    mergeable, deadlock : frozensets of (p, q) index tuples, derived from
+        the mask on first use.
+    components : component_rows as tuples of (p, q) pairs, or None.
     """
 
-    def __init__(self, mergeable, deadlock):
-        self.mergeable = frozenset(mergeable)
-        self.deadlock = frozenset(deadlock)
+    def __init__(self, pairs, mask):
+        self.pairs = pairs
+        self.mask = mask
+        self.component_rows = None
         self.components = None
+
+    @cached_property
+    def mergeable(self):
+        return frozenset(map(tuple, self.pairs[self.mask].tolist()))
+
+    @cached_property
+    def deadlock(self):
+        return frozenset(map(tuple, self.pairs[~self.mask].tolist()))
 
     def __repr__(self):
         ncomp = "?" if self.components is None else len(self.components)
         return (
-            f"DeadlockAnalysis(mergeable={len(self.mergeable)},"
-            f" deadlock={len(self.deadlock)}, components={ncomp})"
+            f"DeadlockAnalysis(mergeable={self.mask.sum()},"
+            f" deadlock={(~self.mask).sum()}, components={ncomp})"
         )
 
 
@@ -103,31 +106,23 @@ def mergeable_pairs(pa, m=None):
     over pair transitions then adds every pair that can reach a seed.
     """
     m = pa.machine if m is None else m
-    delta = m.delta
-    rows = pa.count
-    mergeable = np.zeros(rows, dtype=bool)
-    queue = deque()
-    for r in range(rows):
-        p, q = pa.pairs[r]
-        for j in range(m.k):
-            tp, tq = delta[p, j], delta[q, j]
-            if (tp >= 0 and tq >= 0 and tp == tq) or ((tp >= 0) != (tq >= 0)):
-                mergeable[r] = True
-                queue.append(r)
-                break
-    reverse = [[] for _ in range(rows)]
-    for r in range(rows):
-        for t in pa.successors(r):
-            reverse[t].append(r)
-    while queue:
-        t = queue.popleft()
-        for r in reverse[t]:
-            if not mergeable[r]:
-                mergeable[r] = True
-                queue.append(r)
-    merge_set = {pa.pair(r) for r in range(rows) if mergeable[r]}
-    dead_set = {pa.pair(r) for r in range(rows) if not mergeable[r]}
-    return DeadlockAnalysis(merge_set, dead_set)
+    tp = m.delta[pa.pairs[:, 0]]
+    tq = m.delta[pa.pairs[:, 1]]
+    mask = (((tp >= 0) & (tp == tq)) | ((tp >= 0) != (tq >= 0))).any(axis=1)
+    # predecessor lists of the pair graph in CSR form
+    sources, symbols = np.nonzero(pa.delta2 >= 0)
+    targets = pa.delta2[sources, symbols]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=pa.count))]).tolist()
+    preds = sources[np.argsort(targets, kind="stable")].tolist()
+    merged = mask.tolist()
+    stack = np.flatnonzero(mask).tolist()
+    while stack:
+        t = stack.pop()
+        for r in preds[indptr[t] : indptr[t + 1]]:
+            if not merged[r]:
+                merged[r] = True
+                stack.append(r)
+    return DeadlockAnalysis(pa.pairs, np.array(merged, dtype=bool))
 
 
 def deadlock_components(da, pa):
@@ -135,26 +130,24 @@ def deadlock_components(da, pa):
 
     Deadlock pairs are closed under defined moves, so every pair transition
     out of a deadlock pair stays in the deadlock set; components that still
-    have an edge to a different component are transient and dropped.  Result
-    is stored on the analysis and returned: a list of tuples of (p, q)
-    pairs, components ordered by their smallest member, members sorted.
+    have an edge to a different component are transient and dropped.  The
+    components are stored on the analysis as row arrays (component_rows)
+    and as tuples of (p, q) pairs (components, returned), ordered by their
+    smallest member, members sorted.
     """
-    dead_rows = sorted(pa.pair_index(p, q) for p, q in da.deadlock)
-    dense = {r: i for i, r in enumerate(dead_rows)}
-
-    def successors(i):
-        return (dense[t] for t in pa.successors(dead_rows[i]))
-
-    components = []
-    for comp in strongly_connected_components(len(dead_rows), successors):
-        comp_set = set(comp)
-        closed = all(t in comp_set for i in comp for t in successors(i))
-        if closed:
-            pairs = tuple(sorted(pa.pair(dead_rows[i]) for i in comp))
-            components.append(pairs)
-    components.sort(key=lambda pairs: pairs[0])
-    da.components = components
-    return components
+    dead_rows = np.flatnonzero(~da.mask)
+    position = np.full(pa.count + 1, -1)  # the extra slot maps delta2's -1 to -1
+    position[dead_rows] = np.arange(dead_rows.size)
+    successors = [[t for t in row if t >= 0] for row in position[pa.delta2[dead_rows]].tolist()]
+    rows = []
+    for comp in strongly_connected_components(dead_rows.size, successors.__getitem__):
+        members = set(comp)
+        if all(t in members for i in comp for t in successors[i]):
+            rows.append(dead_rows[comp])
+    rows.sort(key=lambda comp_rows: comp_rows[0])
+    da.component_rows = rows
+    da.components = [tuple(map(tuple, pa.pairs[r].tolist())) for r in rows]
+    return da.components
 
 
 def deadlock_analysis(m):
@@ -171,4 +164,4 @@ def classify(m):
     'non-exact' otherwise."""
     pa = build_pair_automaton(m)
     da = mergeable_pairs(pa)
-    return "exact" if not da.deadlock else "non-exact"
+    return "exact" if da.mask.all() else "non-exact"

@@ -22,7 +22,7 @@ from .pairs import build_pair_automaton, deadlock_analysis, mergeable_pairs
 
 
 class PairMatrix:
-    """Transition matrices of the pair automaton.
+    """Dense view of the pair operator, for small machines.
 
     per_symbol : (k, m, m) array; entry [j, s, t] is the weight of the pair
         transition s -> t on symbol j (0 when undefined).
@@ -32,12 +32,9 @@ class PairMatrix:
     def __init__(self, pa):
         m, k = pa.count, pa.machine.k
         per_symbol = np.zeros((k, m, m))
-        for r in range(m):
-            for j in range(k):
-                t = int(pa.delta2[r, j])
-                if t >= 0:
-                    per_symbol[j, r, t] = pa.weight[r, j]
-        total = per_symbol.sum(axis=0) if k else np.zeros((m, m))
+        rows, symbols = np.nonzero(pa.delta2 >= 0)
+        per_symbol[symbols, rows, pa.delta2[rows, symbols]] = pa.weight[rows, symbols]
+        total = _summed_pair_matrix(pa)
         per_symbol.flags.writeable = False
         total.flags.writeable = False
         self.per_symbol = per_symbol
@@ -46,6 +43,24 @@ class PairMatrix:
 
 def pair_matrix(pa):
     return PairMatrix(pa)
+
+
+def _summed_pair_matrix(pa, rows=None):
+    """Summed pair matrix restricted to `rows` (every row when None).
+
+    Entry [a, b] is the weight of the moves from rows[a] to rows[b]; moves
+    leaving the restriction are dropped.  Symbols are added in declaration
+    order, the order of a sum over the per-symbol layers.
+    """
+    rows = np.arange(pa.count) if rows is None else rows
+    position = np.full(pa.count + 1, -1)  # the extra slot maps delta2's -1 to -1
+    position[rows] = np.arange(len(rows))
+    targets = position[pa.delta2[rows]]
+    out = np.zeros((len(rows), len(rows)))
+    for j in range(pa.machine.k):
+        hit = np.flatnonzero(targets[:, j] >= 0)
+        out[hit, targets[hit, j]] += pa.weight[rows[hit], j]
+    return out
 
 
 def _power_steps(A, d, x, windows=None):
@@ -146,8 +161,8 @@ def spectral_radius(mat, eps=1e-10, max_iter=10**6):
     n = A.shape[0]
     if n == 0:
         return 0.0
-    if A.min() < 0:
-        raise InputError("matrix entries must be nonnegative")
+    if not (A.min() >= 0 and A.max() < math.inf):  # false on any NaN
+        raise InputError("matrix entries must be finite and nonnegative")
     if not A.any():
         return 0.0
     adjacency = [np.flatnonzero(A[i] > 0) for i in range(n)]
@@ -172,12 +187,12 @@ def sync_rate(m, eps=1e-9):
     """
     pa = build_pair_automaton(m)
     da = mergeable_pairs(pa)
-    if da.deadlock:
-        p, q = min(da.deadlock)
+    if not da.mask.all():
+        p, q = pa.pair(np.argmin(da.mask))
         raise PreconditionError(
             f"machine is not exact: state pair ({m.states[p]}, {m.states[q]}) never merges"
         )
-    return spectral_radius(pair_matrix(pa).total, eps)
+    return _surviving_radius(pa, da, eps)
 
 
 class NsynBounds:
@@ -206,21 +221,19 @@ class NsynBounds:
 
 
 def nsyn_bounds(m, length):
-    """Bounds after `length` symbols, by repeated matrix-vector products
-    against the all-ones column (the explicit matrix power is never formed)."""
+    """Bounds after `length` symbols, by repeated steps of the pair operator
+    v <- sum_j weight[:, j] * v[delta2[:, j]] from the all-ones vector,
+    O(m k) each (undefined moves carry weight 0)."""
     if length < 0:
         raise InputError("length must be nonnegative")
     pa = build_pair_automaton(m)
-    T = pair_matrix(pa).total
     v = np.ones(pa.count)
     for _ in range(int(length)):
-        v = T @ v
+        v = (pa.weight * v[pa.delta2]).sum(axis=1)
     totals = np.zeros(m.n)
     maxima = np.zeros(m.n)
-    for r in range(pa.count):
-        p = int(pa.pairs[r, 0])
-        totals[p] += v[r]
-        maxima[p] = max(maxima[p], float(v[r]))
+    np.add.at(totals, pa.pairs[:, 0], v)
+    np.maximum.at(maxima, pa.pairs[:, 0], v)
     pi = stationary_distribution(m).pi
     for a in (v, totals, maxima):
         a.flags.writeable = False
@@ -266,36 +279,36 @@ def edge_machine_stats(component, pa):
 
     Within a closed component every symbol emitted by the first coordinate
     is also accepted by the second (closure), so the log ratio is always
-    finite.  Summation order is fixed: pairs in component order, symbols in
+    finite.  Raises an input error when the component is empty, names a
+    pair outside the machine or twice, or is not closed under defined moves.
+    Summation order is fixed: pairs in component order, symbols in
     declaration order.
     """
     m = pa.machine
-    c = len(component)
-    if c == 0:
+    if len(component) == 0:
         raise InputError("empty component")
-    rows = [pa.pair_index(p, q) for p, q in component]
-    position = {r: i for i, r in enumerate(rows)}
-    chain = np.zeros((c, c))
-    for i, r in enumerate(rows):
-        for j in range(m.k):
-            t = int(pa.delta2[r, j])
-            if t >= 0:
-                chain[i, position[t]] += pa.weight[r, j]
-    rho = solve_stationary(chain)
+    p, q = np.asarray(component, dtype=np.int64).reshape(len(component), 2).T
+    if not ((p >= 0) & (p < m.n) & (q >= 0) & (q < m.n) & (p != q)).all():
+        raise InputError("component names a pair outside the machine")
+    rows = pa.pair_index(p, q)
+    inside = np.zeros(pa.count + 1, dtype=bool)  # the extra slot catches delta2's -1
+    inside[rows] = True
+    moves = pa.delta2[rows]
+    if np.count_nonzero(inside) != len(rows) or not (inside[moves] | (moves < 0)).all():
+        raise InputError("component repeats a pair or is not closed under the pair moves")
+    rho = solve_stationary(_summed_pair_matrix(pa, rows))
     edge_states = []
     edge_rho = []
     f_values = []
     expectation = 0.0
-    for i, (p, q) in enumerate(component):
-        r = rows[i]
-        for j in range(m.k):
-            if pa.delta2[r, j] >= 0:
-                w = float(m.probs[p, j])
-                f = math.log(w / float(m.probs[q, j]))
-                edge_states.append(((p, q), j))
-                edge_rho.append(float(rho[i]) * w)
-                f_values.append(f)
-                expectation += float(rho[i]) * w * f
+    for i, pair in enumerate(map(tuple, component)):
+        for j in np.flatnonzero(moves[i] >= 0).tolist():
+            w = float(m.probs[pair[0], j])
+            f = math.log(w / float(m.probs[pair[1], j]))
+            edge_states.append((pair, j))
+            edge_rho.append(float(rho[i]) * w)
+            f_values.append(f)
+            expectation += float(rho[i]) * w * f
     rho.flags.writeable = False
     return EdgeMachineStats(
         tuple(component),
@@ -307,6 +320,23 @@ def edge_machine_stats(component, pa):
     )
 
 
+def _drifts(pa, da):
+    """Per-component drifts and the prediction rate exp(-min drift); an
+    exact machine has no closed deadlock component and gives ([], 0.0)."""
+    drifts = [edge_machine_stats(comp, pa).expectation for comp in da.components]
+    return drifts, (math.exp(-min(drifts)) if drifts else 0.0)
+
+
+def _surviving_radius(pa, da, eps):
+    """Spectral radius of the summed pair matrix restricted to the pairs
+    outside every closed deadlock component (every pair when there is
+    none).  Transient deadlock pairs stay in the restriction."""
+    rows = None
+    if da.component_rows:
+        rows = np.delete(np.arange(pa.count), np.concatenate(da.component_rows))
+    return spectral_radius(_summed_pair_matrix(pa, rows), eps)
+
+
 def prediction_rate(m):
     """Prediction rate constant: the slowest decay rate of an observer's
     residual uncertainty.
@@ -315,11 +345,7 @@ def prediction_rate(m):
     closed deadlock components; ties resolve to the earliest component in
     the deterministic component order.
     """
-    pa, da = deadlock_analysis(m)
-    if not da.deadlock:
-        return 0.0
-    drifts = [edge_machine_stats(comp, pa).expectation for comp in da.components]
-    return math.exp(-min(drifts))
+    return _drifts(*deadlock_analysis(m))[1]
 
 
 def escape_rate(m):
@@ -332,12 +358,7 @@ def escape_rate(m):
     there has not yet entered a component and still counts as surviving.
     """
     pa, da = deadlock_analysis(m)
-    absorbed = {pair for comp in da.components for pair in comp}
-    keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
-    if not keep:
-        return 0.0
-    T = pair_matrix(pa).total
-    return spectral_radius(T[np.ix_(keep, keep)])
+    return _surviving_radius(pa, da, 1e-10)
 
 
 class RateReport:
@@ -365,22 +386,12 @@ class RateReport:
 
 
 def rate_report(m, eps=1e-9):
-    """Classification plus all rate constants in one pass."""
+    """Classification plus all rate constants in one pass.  An exact machine
+    has no closed components, so its escape restriction is the whole pair
+    matrix and its escape rate is src."""
     pa, da = deadlock_analysis(m)
-    T = pair_matrix(pa).total
-    if da.deadlock:
-        classification = "non-exact"
-        src = None
-        drifts = [edge_machine_stats(comp, pa).expectation for comp in da.components]
-        prc = math.exp(-min(drifts))
-        absorbed = {pair for comp in da.components for pair in comp}
-        keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
-        escape = spectral_radius(T[np.ix_(keep, keep)], eps) if keep else 0.0
-    else:
-        classification = "exact"
-        # no closed components absorb anything, so the escape restriction
-        # is the whole matrix and its radius is src
-        src = escape = spectral_radius(T, eps)
-        drifts = []
-        prc = 0.0
-    return RateReport(classification, src, prc, escape, drifts)
+    drifts, prc = _drifts(pa, da)
+    escape = _surviving_radius(pa, da, eps)
+    if drifts:
+        return RateReport("non-exact", None, prc, escape, drifts)
+    return RateReport("exact", escape, prc, escape, drifts)

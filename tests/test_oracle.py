@@ -67,6 +67,14 @@ class TestBelief:
         with pytest.raises(ImpossibleWordError, match="'b'"):
             belief(ref_gm, [0.0, 1.0], "b")
 
+    @pytest.mark.parametrize(
+        "pi0", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0], [0.5, math.nan]]
+    )
+    def test_non_finite_start_law(self, ref_ne, pi0):
+        # NaN fails both guard comparisons, so it needs a check of its own
+        with pytest.raises(InputError, match="probability vector"):
+            belief(ref_ne, pi0, "")
+
     def test_composition(self):
         m = random_machine(4, 3, seed=23)
         pi = stationary_distribution(m).pi

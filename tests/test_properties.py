@@ -1,0 +1,130 @@
+"""Property tests of the pair layer on drawn machines.
+
+Each machine has 1 to 7 states and 1 to 3 symbols.  A Hamiltonian cycle
+through the states, each of its edges on a drawn symbol, keeps it strongly
+connected; every other (state, symbol) entry is undefined or a drawn
+target.  Equivalent states are allowed, since the pair layer does not
+depend on minimality.  The draws are derandomised, so every run checks the
+same machines.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from emsync import (
+    EpsilonMachine,
+    build_pair_automaton,
+    deadlock_analysis,
+    mergeable_pairs,
+    nsyn_bounds,
+    pair_matrix,
+    rate_report,
+    spectral_radius,
+)
+
+pair_layer_settings = settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def machines(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    delta = [[-1] * k for _ in range(n)]
+    for i in range(n):
+        delta[order[i]][draw(st.integers(0, k - 1))] = order[(i + 1) % n]
+    for p in range(n):
+        for j in range(k):
+            if delta[p][j] < 0:
+                delta[p][j] = draw(st.integers(-1, n - 1))
+    edges = []
+    for p in range(n):
+        defined = [j for j in range(k) if delta[p][j] >= 0]
+        weights = [draw(st.integers(1, 4)) for _ in defined]
+        for j, w in zip(defined, weights):
+            edges.append((str(p), f"s{j}", str(delta[p][j]), w / sum(weights)))
+    return EpsilonMachine(
+        [str(p) for p in range(n)],
+        [f"s{j}" for j in range(k)],
+        edges,
+        name="drawn",
+        check_equivalent=False,
+    )
+
+
+def reference_pair_arrays(m):
+    """The pair automaton by a loop over pairs and symbols."""
+    pairs = [(p, q) for p in range(m.n) for q in range(m.n) if p != q]
+    index = {pair: r for r, pair in enumerate(pairs)}
+    delta2 = np.full((len(pairs), m.k), -1, dtype=np.int64)
+    weight = np.zeros((len(pairs), m.k))
+    for r, (p, q) in enumerate(pairs):
+        for j in range(m.k):
+            tp, tq = int(m.delta[p, j]), int(m.delta[q, j])
+            if tp >= 0 and tq >= 0 and tp != tq:
+                delta2[r, j] = index[(tp, tq)]
+                weight[r, j] = m.probs[p, j]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), delta2, weight
+
+
+def reference_mergeable(m):
+    """Mergeable pairs as the least fixed point of one-step merging: a pair
+    merges when some symbol collapses it or moves it to a merging pair."""
+    pairs = [(p, q) for p in range(m.n) for q in range(m.n) if p != q]
+    merged = set()
+    changed = True
+    while changed:
+        changed = False
+        for p, q in pairs:
+            if (p, q) in merged:
+                continue
+            for j in range(m.k):
+                tp, tq = int(m.delta[p, j]), int(m.delta[q, j])
+                if (tp < 0) != (tq < 0) or (tp >= 0 and (tp == tq or (tp, tq) in merged)):
+                    merged.add((p, q))
+                    changed = True
+                    break
+    return np.array([pair in merged for pair in pairs], dtype=bool)
+
+
+@pair_layer_settings
+@given(machines())
+def test_pair_arrays_match_loop_reference(m):
+    pa = build_pair_automaton(m)
+    for actual, expected in zip((pa.pairs, pa.delta2, pa.weight), reference_pair_arrays(m)):
+        assert actual.dtype == expected.dtype
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual, expected)
+
+
+@pair_layer_settings
+@given(machines())
+def test_mergeable_mask_matches_fixed_point(m):
+    da = mergeable_pairs(build_pair_automaton(m))
+    assert np.array_equal(da.mask, reference_mergeable(m))
+
+
+@pair_layer_settings
+@given(machines(), st.integers(0, 8))
+def test_nsyn_row_sums_match_matrix_power(m, length):
+    T = pair_matrix(build_pair_automaton(m)).total
+    expected = np.linalg.matrix_power(T, length) @ np.ones(T.shape[0])
+    actual = nsyn_bounds(m, length).row_sums
+    np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
+
+
+@pair_layer_settings
+@given(machines())
+def test_escape_is_radius_of_dense_restriction(m):
+    pa, da = deadlock_analysis(m)
+    absorbed = {pair for comp in da.components for pair in comp}
+    keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
+    T = pair_matrix(pa).total
+    assert rate_report(m).escape == spectral_radius(T[np.ix_(keep, keep)], 1e-9)

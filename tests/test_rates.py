@@ -172,6 +172,21 @@ class TestSpectralRadius:
         with pytest.raises(InputError):
             spectral_radius([[0.5]], eps=0.0)
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[math.nan]],
+            [[0.0, math.nan], [1.0, 0.0]],
+            [[math.nan, 1.0], [1.0, math.nan]],
+            [[math.inf, 1.0], [1.0, 0.0]],
+        ],
+    )
+    def test_non_finite_entries_are_rejected(self, A):
+        # without the check the first two gave 0.0 and the last two ran to
+        # the iteration cap
+        with pytest.raises(InputError, match="finite"):
+            spectral_radius(A)
+
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
     def test_eps_must_be_positive_and_finite(self, eps):
         with pytest.raises(InputError, match="eps"):
@@ -352,6 +367,13 @@ class TestEdgeMachineStats:
         pa, _ = deadlock_analysis(ref_ne)
         with pytest.raises(InputError):
             edge_machine_stats((), pa)
+
+    @pytest.mark.parametrize("component", [[(0, 1)], [(0, 2)]])
+    def test_component_not_closed_or_outside_machine(self, ref_ne, component):
+        # (0, 1) moves to (1, 0) outside the component; state 2 does not exist
+        pa, _ = deadlock_analysis(ref_ne)
+        with pytest.raises(InputError):
+            edge_machine_stats(component, pa)
 
     def test_expectation_positive_on_corpus(self, nonexact_corpus):
         for m in nonexact_corpus[:40]:
