@@ -40,6 +40,8 @@ def load_machine(path):
             text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     return parse_machine(text)
 
 
@@ -135,8 +137,11 @@ def cmd_gen(args):
     if args.out is None:
         sys.stdout.write(text)
         return None
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     return [
         ("states", m.n),
         ("symbols", m.k),

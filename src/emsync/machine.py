@@ -158,10 +158,7 @@ class EpsilonMachine:
     def transition_matrix(self):
         """One-step state transition matrix T with T[p, q] = sum of P_p(a)
         over symbols a with delta(p, a) = q."""
-        T = np.zeros((self.n, self.n))
-        for i, _, t, p in self.edges():
-            T[i, t] += p
-        return T
+        return chain_matrix(self.delta, self.probs)
 
     def to_text(self):
         return render_machine(self)
@@ -274,8 +271,8 @@ def render_machine(m):
 # -- probabilistic equivalence ----------------------------------------------
 
 
-def _probability_classes(values, tol=PROB_TOL):
-    """Cluster a set of floats so values within tol share a class id.
+def _probability_classes(values):
+    """Cluster a set of floats so values within PROB_TOL share a class id.
 
     Clustering is transitive along chains of close values; fine for the
     decimal inputs this format carries.
@@ -285,7 +282,7 @@ def _probability_classes(values, tol=PROB_TOL):
     current = 0
     previous = None
     for v in ordered:
-        if previous is not None and v - previous > tol:
+        if previous is not None and v - previous > PROB_TOL:
             current += 1
         ids[v] = current
         previous = v
@@ -365,22 +362,38 @@ class StationaryDist:
         return f"StationaryDist({np.array2string(self.pi, precision=6)})"
 
 
-def solve_stationary(T, tol=PROB_TOL):
+def chain_matrix(targets, weights):
+    """Dense square chain matrix of (rows, k) tables: entry [a, b] sums
+    weights[a, j] over the j with targets[a, j] = b in column (symbol)
+    order, skipping -1 targets."""
+    out = np.zeros((targets.shape[0], targets.shape[0]))
+    for j in range(targets.shape[1]):
+        hit = np.flatnonzero(targets[:, j] >= 0)
+        out[hit, targets[hit, j]] += weights[hit, j]
+    return out
+
+
+def solve_stationary(T):
     """Left fixed point pi T = pi with sum(pi) = 1 for an irreducible
     row-stochastic matrix T.
 
-    Least squares on (T^t - I) stacked with the normalization row; valid for
-    periodic chains.  Guards the residual and positivity.
+    Square solve of (T^t - I) with its last balance equation replaced by
+    the normalization row; valid for periodic chains.  Raises NumericalError
+    on a singular system (a reducible chain), a residual above PROB_TOL or
+    a non-positive entry.
     """
     T = np.asarray(T, dtype=float)
     n = T.shape[0]
-    if n == 1:
-        return np.array([1.0])
-    A = np.vstack([T.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
+    A = T.T.copy()
+    A.flat[:: n + 1] -= 1.0
+    A[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if abs(pi.sum() - 1.0) > tol or np.max(np.abs(pi @ T - pi)) > tol:
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise NumericalError("stationary solve is singular (chain not irreducible)") from None
+    if abs(pi.sum() - 1.0) > PROB_TOL or np.max(np.abs(pi @ T - pi)) > PROB_TOL:
         raise NumericalError("stationary solve residual exceeds tolerance")
     if pi.min() <= 0.0:
         raise NumericalError("stationary solve produced a non-positive entry")

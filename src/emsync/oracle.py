@@ -28,6 +28,21 @@ def _extended_tables(m):
     return delta_ext, logp_ext
 
 
+def _extend_level(delta_ext, table_ext, states, values, combine):
+    """One level of a word walk: every row of `states` (rows, n; state n is
+    dead) extended by every symbol in (row, symbol) order, all-dead rows
+    dropped.  `values` (rows, n) is combined with table_ext at the step
+    taken: np.add for log-probabilities, np.multiply for probabilities.
+    Returns the parent row, symbol, states and values of the kept rows."""
+    dead, k = delta_ext.shape[0] - 1, delta_ext.shape[1]
+    parent, sym = np.divmod(np.arange(states.shape[0] * k), k)
+    new_states = delta_ext[states[parent], sym[:, None]]
+    keep = np.flatnonzero((new_states != dead).any(axis=1))
+    parent, sym = parent[keep], sym[keep]
+    new_values = combine(values[parent], table_ext[states[parent], sym[:, None]])
+    return parent, sym, new_states[keep], new_values
+
+
 # -- belief tracking ---------------------------------------------------------
 
 
@@ -163,16 +178,8 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     logv = np.zeros((1, n))
     trail = []  # per level: (parent row, symbol) for word reconstruction
     for _ in range(length):
-        rows = endpoints.shape[0]
-        parent = np.repeat(np.arange(rows), k)
-        sym = np.tile(np.arange(k), rows)
-        new_endpoints = delta_ext[endpoints[parent], sym[:, None]]
-        new_logv = logv[parent] + logp_ext[endpoints[parent], sym[:, None]]
-        alive = (new_endpoints != n).any(axis=1)
-        idx = np.flatnonzero(alive)
-        endpoints = new_endpoints[idx]
-        logv = new_logv[idx]
-        trail.append((parent[idx], sym[idx]))
+        parent, sym, endpoints, logv = _extend_level(delta_ext, logp_ext, endpoints, logv, np.add)
+        trail.append((parent, sym))
 
     rows = endpoints.shape[0]
     pi = stationary_distribution(m).pi
@@ -267,14 +274,9 @@ def nonreset_profile(m, max_length, budget=10**7):
             raise ResourceError(
                 f"action walk exceeded the budget of {budget} row steps at length {level + 1}"
             )
-        rows = actions.shape[0]
-        parent = np.repeat(np.arange(rows), k)
-        sym = np.tile(np.arange(k), rows)
-        new_actions = delta_ext[actions[parent], sym[:, None]]
-        new_weights = weights[parent] * probs_ext[actions[parent], sym[:, None]]
-        alive = (new_actions != n).any(axis=1)
-        new_actions = new_actions[alive]
-        new_weights = new_weights[alive]
+        _, _, new_actions, new_weights = _extend_level(
+            delta_ext, probs_ext, actions, weights, np.multiply
+        )
         actions, inverse = np.unique(new_actions, axis=0, return_inverse=True)
         weights = np.zeros((actions.shape[0], n))
         np.add.at(weights, inverse.ravel(), new_weights)

@@ -53,6 +53,13 @@ class PairAutomaton:
         p, q = self.pairs[r]
         return int(p), int(q)
 
+    def moves_within(self, rows):
+        """delta2 of `rows`, its targets renumbered to positions within
+        `rows`; -1 where the move is undefined or leaves `rows`."""
+        position = np.full(self.count + 1, -1)  # the extra slot maps delta2's -1 to -1
+        position[rows] = np.arange(len(rows))
+        return position[self.delta2[rows]]
+
     def successors(self, r):
         return (int(t) for t in self.delta2[r] if t >= 0)
 
@@ -97,7 +104,7 @@ class DeadlockAnalysis:
         )
 
 
-def mergeable_pairs(pa, m=None):
+def mergeable_pairs(pa):
     """Classify every ordered pair as mergeable or deadlock.
 
     Seeds are pairs that a single symbol already collapses: both states map
@@ -105,9 +112,8 @@ def mergeable_pairs(pa, m=None):
     (the set image shrinks to a singleton either way).  Backward closure
     over pair transitions then adds every pair that can reach a seed.
     """
-    m = pa.machine if m is None else m
-    tp = m.delta[pa.pairs[:, 0]]
-    tq = m.delta[pa.pairs[:, 1]]
+    tp = pa.machine.delta[pa.pairs[:, 0]]
+    tq = pa.machine.delta[pa.pairs[:, 1]]
     mask = (((tp >= 0) & (tp == tq)) | ((tp >= 0) != (tq >= 0))).any(axis=1)
     # predecessor lists of the pair graph in CSR form
     sources, symbols = np.nonzero(pa.delta2 >= 0)
@@ -136,9 +142,7 @@ def deadlock_components(da, pa):
     smallest member, members sorted.
     """
     dead_rows = np.flatnonzero(~da.mask)
-    position = np.full(pa.count + 1, -1)  # the extra slot maps delta2's -1 to -1
-    position[dead_rows] = np.arange(dead_rows.size)
-    successors = [[t for t in row if t >= 0] for row in position[pa.delta2[dead_rows]].tolist()]
+    successors = [[t for t in row if t >= 0] for row in pa.moves_within(dead_rows).tolist()]
     rows = []
     for comp in strongly_connected_components(dead_rows.size, successors.__getitem__):
         members = set(comp)

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InputError, PreconditionError
-from .graphs import component_period, strongly_connected_components
-from .machine import solve_stationary, stationary_distribution
+from .graphs import component_period, is_strongly_connected, strongly_connected_components
+from .machine import chain_matrix, solve_stationary, stationary_distribution
 from .pairs import build_pair_automaton, deadlock_analysis, mergeable_pairs
 
 
@@ -34,7 +34,7 @@ class PairMatrix:
         per_symbol = np.zeros((k, m, m))
         rows, symbols = np.nonzero(pa.delta2 >= 0)
         per_symbol[symbols, rows, pa.delta2[rows, symbols]] = pa.weight[rows, symbols]
-        total = _summed_pair_matrix(pa)
+        total = chain_matrix(pa.delta2, pa.weight)
         per_symbol.flags.writeable = False
         total.flags.writeable = False
         self.per_symbol = per_symbol
@@ -43,24 +43,6 @@ class PairMatrix:
 
 def pair_matrix(pa):
     return PairMatrix(pa)
-
-
-def _summed_pair_matrix(pa, rows=None):
-    """Summed pair matrix restricted to `rows` (every row when None).
-
-    Entry [a, b] is the weight of the moves from rows[a] to rows[b]; moves
-    leaving the restriction are dropped.  Symbols are added in declaration
-    order, the order of a sum over the per-symbol layers.
-    """
-    rows = np.arange(pa.count) if rows is None else rows
-    position = np.full(pa.count + 1, -1)  # the extra slot maps delta2's -1 to -1
-    position[rows] = np.arange(len(rows))
-    targets = position[pa.delta2[rows]]
-    out = np.zeros((len(rows), len(rows)))
-    for j in range(pa.machine.k):
-        hit = np.flatnonzero(targets[:, j] >= 0)
-        out[hit, targets[hit, j]] += pa.weight[rows[hit], j]
-    return out
 
 
 def _power_steps(A, d, x, windows=None):
@@ -278,11 +260,13 @@ def edge_machine_stats(component, pa):
     """Equilibrium and drift of one closed deadlock component.
 
     Within a closed component every symbol emitted by the first coordinate
-    is also accepted by the second (closure), so the log ratio is always
-    finite.  Raises an input error when the component is empty, names a
-    pair outside the machine or twice, or is not closed under defined moves.
-    Summation order is fixed: pairs in component order, symbols in
-    declaration order.
+    is also accepted by the second and moves the pair to a pair of the
+    component (closure), so the log ratio is always finite.  Raises an
+    input error when the component is empty, names a pair outside the
+    machine or twice, is not closed, or is not strongly connected (so that
+    its equilibrium is unique).
+    Edge states are listed, and the expectation summed, in a fixed order:
+    pairs in component order, symbols in declaration order.
     """
     m = pa.machine
     if len(component) == 0:
@@ -291,33 +275,24 @@ def edge_machine_stats(component, pa):
     if not ((p >= 0) & (p < m.n) & (q >= 0) & (q < m.n) & (p != q)).all():
         raise InputError("component names a pair outside the machine")
     rows = pa.pair_index(p, q)
-    inside = np.zeros(pa.count + 1, dtype=bool)  # the extra slot catches delta2's -1
-    inside[rows] = True
-    moves = pa.delta2[rows]
-    if np.count_nonzero(inside) != len(rows) or not (inside[moves] | (moves < 0)).all():
-        raise InputError("component repeats a pair or is not closed under the pair moves")
-    rho = solve_stationary(_summed_pair_matrix(pa, rows))
-    edge_states = []
-    edge_rho = []
-    f_values = []
-    expectation = 0.0
-    for i, pair in enumerate(map(tuple, component)):
-        for j in np.flatnonzero(moves[i] >= 0).tolist():
-            w = float(m.probs[pair[0], j])
-            f = math.log(w / float(m.probs[pair[1], j]))
-            edge_states.append((pair, j))
-            edge_rho.append(float(rho[i]) * w)
-            f_values.append(f)
-            expectation += float(rho[i]) * w * f
+    moves = pa.moves_within(rows)
+    if ((m.delta[p] >= 0) & (moves < 0)).any():
+        raise InputError("component is not closed under the pair moves")
+    # a repeated pair renumbers to its last copy, leaving the earlier copy
+    # without incoming moves, so this check also catches repeats
+    targets = moves.tolist()
+    if not is_strongly_connected(len(rows), lambda a: (b for b in targets[a] if b >= 0)):
+        raise InputError("component repeats a pair or is not strongly connected")
+    rho = solve_stationary(chain_matrix(moves, pa.weight[rows]))
+    at, j = np.nonzero(moves >= 0)
+    w = m.probs[p[at], j]
+    edge_rho = rho[at] * w
+    f_values = np.log(w / m.probs[q[at], j])
+    edge_states = [(tuple(component[a]), b) for a, b in zip(at.tolist(), j.tolist())]
     rho.flags.writeable = False
-    return EdgeMachineStats(
-        tuple(component),
-        rho,
-        edge_states,
-        np.array(edge_rho),
-        np.array(f_values),
-        expectation,
-    )
+    # cumsum adds one term at a time, in edge-state order
+    expectation = np.cumsum(edge_rho * f_values)[-1]
+    return EdgeMachineStats(tuple(component), rho, edge_states, edge_rho, f_values, expectation)
 
 
 def _drifts(pa, da):
@@ -331,10 +306,10 @@ def _surviving_radius(pa, da, eps):
     """Spectral radius of the summed pair matrix restricted to the pairs
     outside every closed deadlock component (every pair when there is
     none).  Transient deadlock pairs stay in the restriction."""
-    rows = None
+    rows = np.arange(pa.count)
     if da.component_rows:
-        rows = np.delete(np.arange(pa.count), np.concatenate(da.component_rows))
-    return spectral_radius(_summed_pair_matrix(pa, rows), eps)
+        rows = np.delete(rows, np.concatenate(da.component_rows))
+    return spectral_radius(chain_matrix(pa.moves_within(rows), pa.weight[rows]), eps)
 
 
 def prediction_rate(m):

@@ -262,6 +262,24 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in err
 
+    def test_machine_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bom16.em"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cannot read" in err
+        assert len(err.splitlines()) == 1
+
+    def test_gen_out_directory_missing(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.em"
+        code, out, err = run(capsys, "gen", "--states", "3", "--symbols", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cannot write" in err
+        assert len(err.splitlines()) == 1
+        assert not target.parent.exists()
+
     def test_oracle_budget_exceeded(self, capsys, machine_dir):
         code, _, err = run(
             capsys,

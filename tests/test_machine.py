@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from emsync import (
     InputError,
     MachineSyntaxError,
     NotStronglyConnectedError,
+    NumericalError,
     RowSumError,
     UnknownNameError,
     check_equivalence,
+    deadlock_analysis,
+    pair_matrix,
     parse_machine,
     random_machine,
     render_machine,
@@ -23,6 +27,7 @@ from emsync import (
     word_probability,
 )
 from emsync.fixtures import M_EX_TEXT
+from emsync.machine import solve_stationary
 
 
 def symmetric_machine():
@@ -193,6 +198,67 @@ class TestStationary:
             ],
         )
         assert stationary_distribution(m).pi == pytest.approx([0.5, 0.5], abs=1e-10)
+
+
+def exact_stationary(T):
+    """Stationary law of T by Gauss-Jordan elimination over the rationals:
+    every float entry converted exactly, the last balance equation of
+    pi (T - I) = 0 replaced by sum(pi) = 1."""
+    n = T.shape[0]
+    rows = [[Fraction(float(T[c, r])) - (r == c) for c in range(n)] for r in range(n - 1)]
+    rows.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rhs[c], rhs[pivot] = rhs[pivot], rhs[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c] / rows[c][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+                rhs[r] -= factor * rhs[c]
+    return np.array([float(rhs[i] / rows[i][i]) for i in range(n)])
+
+
+def small_chains(machines, max_states=14):
+    """State chains and closed deadlock component chains of at most
+    max_states states."""
+    for m in machines:
+        chains = [m.transition_matrix()]
+        pa, da = deadlock_analysis(m)
+        total = pair_matrix(pa).total
+        chains += [total[np.ix_(rows, rows)] for rows in da.component_rows]
+        yield from (T for T in chains if T.shape[0] <= max_states)
+
+
+class TestSolveStationary:
+    def test_matches_exact_elimination_on_corpora(self, nonexact_corpus, mixed_corpus):
+        # the worst case here is 2.1e-13: a 5-state chain whose smallest
+        # entry, 5.3e-4, is off by 1.1e-16
+        worst = 0.0
+        count = 0
+        for T in small_chains([*nonexact_corpus, *mixed_corpus]):
+            exact = exact_stationary(T)
+            worst = max(worst, float(np.max(np.abs(solve_stationary(T) - exact) / exact)))
+            count += 1
+        assert count > 1500
+        assert worst <= 3e-13
+
+    def test_one_state_and_two_cycle(self):
+        assert np.array_equal(solve_stationary([[1.0]]), [1.0])
+        assert np.array_equal(solve_stationary([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            np.eye(2),  # two closed classes: the system is singular
+            [[0.5, 0.5], [0.0, 1.0]],  # a transient state: pi has a zero
+            [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],  # two closed classes
+        ],
+    )
+    def test_reducible_chain_is_numerical_error(self, T):
+        with pytest.raises(NumericalError):
+            solve_stationary(T)
 
 
 class TestRandomMachine:

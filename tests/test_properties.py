@@ -8,6 +8,8 @@ depend on minimality.  The draws are derandomised, so every run checks the
 same machines.
 """
 
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from emsync import (
     EpsilonMachine,
     build_pair_automaton,
     deadlock_analysis,
+    edge_machine_stats,
     mergeable_pairs,
     nsyn_bounds,
     pair_matrix,
@@ -59,6 +62,30 @@ def machines(draw):
     )
 
 
+@st.composite
+def permutation_machines(draw):
+    """Machines on 2 to 6 states whose 2 or 3 symbols each permute the
+    states, symbol 0 along a Hamiltonian cycle.  Every pair is a deadlock
+    pair, and drawn weights give most closed components a positive drift."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 3))
+    order = draw(st.permutations(range(n)))
+    columns = [{order[i]: order[(i + 1) % n] for i in range(n)}]
+    columns += [dict(enumerate(draw(st.permutations(range(n))))) for _ in range(k - 1)]
+    edges = []
+    for p in range(n):
+        weights = [draw(st.integers(1, 4)) for _ in range(k)]
+        for j, w in enumerate(weights):
+            edges.append((str(p), f"s{j}", str(columns[j][p]), w / sum(weights)))
+    return EpsilonMachine(
+        [str(p) for p in range(n)],
+        [f"s{j}" for j in range(k)],
+        edges,
+        name="drawn-permutation",
+        check_equivalent=False,
+    )
+
+
 def reference_pair_arrays(m):
     """The pair automaton by a loop over pairs and symbols."""
     pairs = [(p, q) for p in range(m.n) for q in range(m.n) if p != q]
@@ -92,6 +119,46 @@ def reference_mergeable(m):
                     changed = True
                     break
     return np.array([pair in merged for pair in pairs], dtype=bool)
+
+
+def reference_edge_stats(m, component, rho):
+    """Edge states, edge_rho, f_values and expectation of a component by a
+    loop over its pairs and symbols, given its equilibrium rho."""
+    edge_states, edge_rho, f_values = [], [], []
+    expectation = 0.0
+    for i, (p, q) in enumerate(component):
+        for j in range(m.k):
+            if m.delta[p, j] < 0 or m.delta[q, j] < 0 or m.delta[p, j] == m.delta[q, j]:
+                continue
+            w = float(m.probs[p, j])
+            f = math.log(w / float(m.probs[q, j]))
+            edge_states.append(((p, q), j))
+            edge_rho.append(float(rho[i]) * w)
+            f_values.append(f)
+            expectation += float(rho[i]) * w * f
+    return edge_states, np.array(edge_rho), np.array(f_values), expectation
+
+
+@pair_layer_settings
+@given(machines())
+def test_transition_matrix_matches_edge_loop(m):
+    T = np.zeros((m.n, m.n))
+    for i, _, t, p in m.edges():
+        T[i, t] += p
+    assert np.array_equal(m.transition_matrix(), T)
+
+
+@pair_layer_settings
+@given(permutation_machines())
+def test_edge_stats_match_loop_reference(m):
+    pa, da = deadlock_analysis(m)
+    for comp in da.components:
+        stats = edge_machine_stats(comp, pa)
+        edge_states, edge_rho, f_values, expectation = reference_edge_stats(m, comp, stats.rho)
+        assert stats.edge_states == edge_states
+        np.testing.assert_allclose(stats.edge_rho, edge_rho, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(stats.f_values, f_values, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(stats.expectation, expectation, rtol=1e-14, atol=0.0)
 
 
 @pair_layer_settings

@@ -375,6 +375,24 @@ class TestEdgeMachineStats:
         with pytest.raises(InputError):
             edge_machine_stats(component, pa)
 
+    def test_union_of_closed_components_is_rejected(self, perm4_machine):
+        # each component alone has a unique equilibrium; their union has a
+        # family of them, and so no single drift
+        pa, da = deadlock_analysis(perm4_machine)
+        with pytest.raises(InputError, match="strongly connected"):
+            edge_machine_stats(da.components[0] + da.components[1], pa)
+
+    def test_merging_pairs_are_rejected(self, ref_ex):
+        # symbol a sends both states to state 0, so it merges both pairs
+        pa, _ = deadlock_analysis(ref_ex)
+        with pytest.raises(InputError, match="not closed"):
+            edge_machine_stats([(0, 1), (1, 0)], pa)
+
+    def test_repeated_pair_is_rejected(self, ref_ne):
+        pa, da = deadlock_analysis(ref_ne)
+        with pytest.raises(InputError, match="repeats a pair"):
+            edge_machine_stats(da.components[0] + da.components[0][:1], pa)
+
     def test_expectation_positive_on_corpus(self, nonexact_corpus):
         for m in nonexact_corpus[:40]:
             pa, da = deadlock_analysis(m)
