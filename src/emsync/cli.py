@@ -4,12 +4,13 @@ Subcommands: validate, classify, sync-rate, pred-rate, bounds, simulate,
 gen.  Reports are ordered (key, value) lists rendered either as a human
 table or as machine-readable `key<TAB>value` lines (--format kv); floats
 use 9 significant digits.  Exit statuses: 0 success, 1 analysis
-precondition or numerical failure, 2 malformed input, 3 resource or
-generation failure.
+precondition or numerical failure or a closed output pipe, 2 malformed
+input, 3 resource or generation failure.
 """
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -100,6 +101,8 @@ def _parse_sweep(text):
 def cmd_simulate(args):
     m = load_machine(args.machine)
     if args.sweep:
+        if args.length is not None:
+            raise InputError("give either --length or --sweep, not both")
         checkpoints = _parse_sweep(args.sweep)
         length = checkpoints[-1]
     else:
@@ -239,6 +242,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        if report is not None:
+            print(render_report(report, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot fail again (Python docs, signal, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -254,8 +265,6 @@ def main(argv=None):
     except MemoryError:
         print("error: out of memory (the machine's pair space is too large)", file=sys.stderr)
         return 3
-    if report is not None:
-        print(render_report(report, args.format))
     return 0
 
 

@@ -1,10 +1,14 @@
 """Independent verification routes: exhaustive word enumeration, aggregated
 word-action walks, reset-threshold search, and Monte Carlo belief simulation.
 
-Nothing here touches the pair-automaton matrices; agreement between these
-oracles and the rates module is what the test suite certifies.
+Nothing here uses the rates module.  Of the pair automaton, only the
+deadlock pairs of `pairs.mergeable_pairs` are read, to give each simulated
+start state its deadlock partners; `reset_threshold` checks the
+classification without it.  Agreement between these oracles and the rates
+module is what the test suite certifies.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -58,6 +62,27 @@ def _residual_mass(phi):
     rest = phi.copy()
     rest[np.arange(phi.shape[0]), top] = 0.0
     return rest.sum(axis=1)
+
+
+def _endpoint_posterior(log_start, logv, endpoints):
+    """Word probabilities and the observer's posterior from a likelihood table.
+
+    Row r of `logv` (rows, n) holds each start state's log-probability of
+    emitting word r, row r of `endpoints` the state it ends in (n if dead).
+    The posterior of endpoint t is the start law times likelihood summed
+    over the start states ending at t, normalized.  Returns ln P(w) per row
+    and the (rows, n) posterior.
+    """
+    rows, n = endpoints.shape
+    log_joint = log_start[None, :] + logv
+    # column by column: exact like max(axis=1), and far faster for few states
+    peak = functools.reduce(np.maximum, log_joint.T)
+    log_pw = peak + np.log(np.exp(log_joint - peak[:, None]).sum(axis=1))
+    posterior = np.exp(log_joint - log_pw[:, None])  # per start state
+    # bincount adds in input order; dead endpoints fill column n, dropped
+    index = (np.arange(rows) * (n + 1))[:, None] + endpoints
+    phi = np.bincount(index.ravel(), posterior.ravel(), rows * (n + 1))
+    return log_pw, phi.reshape(rows, n + 1)[:, :n]
 
 
 class BeliefState:
@@ -182,20 +207,9 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
         trail.append((parent, sym))
 
     rows = endpoints.shape[0]
-    pi = stationary_distribution(m).pi
-    log_joint = np.log(pi)[None, :] + logv
-    peak = log_joint.max(axis=1)
-    log_pw = peak + np.log(np.exp(log_joint - peak[:, None]).sum(axis=1))
+    log_pw, phi_end = _endpoint_posterior(np.log(stationary_distribution(m).pi), logv, endpoints)
     pw = np.exp(log_pw)
-    posterior = np.exp(log_joint - log_pw[:, None])  # per start state
-
     nonreset = _distinct_live(endpoints, n) > 1
-
-    # posterior over endpoints
-    phi_end = np.zeros((rows, n))
-    rr = np.repeat(np.arange(rows), n)
-    cc = np.where(endpoints == n, 0, endpoints).ravel()
-    np.add.at(phi_end, (rr, cc), np.where(endpoints.ravel() == n, 0.0, posterior.ravel()))
     q = np.where(nonreset, _residual_mass(phi_end), 0.0)
 
     f_state = np.argmax(logv, axis=1)
@@ -370,11 +384,13 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     One PCG64 stream (numpy default_rng) drives everything; draws happen
     step-major across the whole run batch, so results are deterministic
     given the seed regardless of platform.  Each run samples a start state
-    from the stationary law and emits `length` symbols; the observer belief
-    starts at the stationary law and is updated per symbol.  A shadow table
-    tracks every state's log-probability of the emitted word, giving the
-    averaged log-likelihood ratio between the run's start state and each of
-    its deadlock partners.
+    from the stationary law and emits `length` symbols.  A shadow table
+    keeps, per run and start state, where that start state has moved and
+    its log-probability of the emitted word.  The observer's belief (the
+    stationary law conditioned on the word) is read from this table at each
+    checkpoint and at the end, not updated symbol by symbol.  The table
+    also gives the averaged log-likelihood ratio between the run's start
+    state and each of its deadlock partners.
     """
     if runs < 1:
         raise InputError("runs must be at least 1")
@@ -390,52 +406,32 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     delta_ext, logp_ext = _extended_tables(m)
     cum = np.cumsum(m.probs, axis=1)
     last_live = np.array([max(j for j in range(k) if m.probs[i, j] > 0) for i in range(n)])
-    symbol_mats = np.zeros((k, n, n))
-    for i, j, t, p in m.edges():
-        symbol_mats[j, i, t] = p
 
     start = np.minimum((rng.random(runs)[:, None] >= np.cumsum(pi)[None, :]).sum(axis=1), n - 1)
     current = start.copy()
-    phi = np.tile(pi, (runs, 1))
     shadow = np.tile(np.arange(n, dtype=np.int64), (runs, 1))
     logw = np.zeros((runs, n))
     q_at = {}
-    if 0 in record_at:
-        q_at[0] = _residual_mass(phi)
+    for step in range(length + 1):
+        if step > 0:
+            u = rng.random(runs)
+            sym = (u[:, None] >= cum[current]).sum(axis=1)
+            sym = np.minimum(sym, k - 1)
+            bad = m.probs[current, sym] == 0.0
+            if bad.any():
+                sym[bad] = last_live[current[bad]]
+            logw += logp_ext[shadow, sym[:, None]]
+            shadow = delta_ext[shadow, sym[:, None]]
+            current = m.delta[current, sym]
+        if step in record_at or step == length:
+            q_at[step] = _residual_mass(_endpoint_posterior(np.log(pi), logw, shadow)[1])
 
-    for step in range(1, length + 1):
-        u = rng.random(runs)
-        sym = (u[:, None] >= cum[current]).sum(axis=1)
-        sym = np.minimum(sym, k - 1)
-        bad = m.probs[current, sym] == 0.0
-        if bad.any():
-            sym[bad] = last_live[current[bad]]
-        logw += logp_ext[shadow, sym[:, None]]
-        shadow = delta_ext[shadow, sym[:, None]]
-        current = m.delta[current, sym]
-        for j in range(k):
-            batch = np.flatnonzero(sym == j)
-            if batch.size:
-                phi[batch] = phi[batch] @ symbol_mats[j]
-        phi /= phi.sum(axis=1, keepdims=True)
-        if step in record_at:
-            q_at[step] = _residual_mass(phi)
-
-    q_values = _residual_mass(phi)
+    q_values = q_at[length] if length in record_at else q_at.pop(length)
 
     pa = build_pair_automaton(m)
-    da = mergeable_pairs(pa)
-    partners = [[] for _ in range(n)]
-    for p, q in pa.pairs[~da.mask].tolist():
-        partners[p].append(q)
-    pieces = []
-    if length > 0:
-        for p in range(n):
-            batch = np.flatnonzero(start == p)
-            if batch.size == 0:
-                continue
-            for q in partners[p]:
-                pieces.append((logw[batch, p] - logw[batch, q]) / length)
+    deadlock = pa.pairs[~mergeable_pairs(pa).mask].tolist() if length > 0 else []
+    # deadlock pairs are in lexicographic order: grouped by start state
+    pieces = [(logw[start == p, p] - logw[start == p, q]) / length for p, q in deadlock]
     y_values = np.concatenate(pieces) if pieces else np.zeros(0)
 
     for a in (start, q_values, y_values):

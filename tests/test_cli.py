@@ -1,5 +1,10 @@
 """Command-line surface: report contents, formats, exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -296,6 +301,36 @@ class TestExitCodes:
         code, _, err = run(capsys, "simulate", str(machine_dir / "M_NE.em"))
         assert code == 2
         assert "--length or --sweep" in err
+
+    def test_simulate_length_with_sweep_refused(self, capsys, machine_dir):
+        argv = ("simulate", str(machine_dir / "M_NE.em"), "--length", "400", "--sweep", "100:300:100")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--length" in err and "--sweep" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["validate", "M_EX.em"], ["gen", "--states", "3", "--symbols", "2"]]
+    )
+    def test_closed_output_pipe(self, machine_dir, argv):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "emsync.cli", *argv],
+                cwd=machine_dir,
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""
 
     @pytest.mark.parametrize("sweep", ["10", "5:1:1", "1:10:0", "a:b:c", "-2:4:1"])
     def test_bad_sweep_values(self, capsys, machine_dir, sweep):

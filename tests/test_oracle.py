@@ -326,6 +326,37 @@ class TestSimulateBeliefs:
             assert arr.shape == (32,)
         assert np.array_equal(sim.q_at[10], sim.q_values)
 
+    def test_posterior_matches_belief_reference(self, ref_ne, mixed_corpus):
+        # every simulated uncertainty is the per-symbol Bayes value of some
+        # positive-probability word; exact zeros only where reset words exist
+        L = 6
+        for m in (ref_ne, mixed_corpus[1], mixed_corpus[7]):
+            pi = stationary_distribution(m).pi
+            nonreset_q, any_reset = [], False
+            for word in itertools.product(range(m.k), repeat=L):
+                image = set(range(m.n))
+                for j in word:
+                    image = {int(m.delta[s, j]) for s in image if m.delta[s, j] >= 0}
+                if not image:
+                    continue
+                q_l = belief(m, pi, [m.symbols[j] for j in word]).q_l
+                if len(image) == 1:
+                    assert q_l == 0.0
+                    any_reset = True
+                else:
+                    nonreset_q.append(q_l)
+            reference = np.sort(nonreset_q)
+            q = simulate_beliefs(m, L, 2000, seed=17).q_values
+            if not any_reset:
+                assert (q > 0.0).all()
+            positive = q[q > 0.0]
+            assert positive.size > 0
+            at = np.clip(np.searchsorted(reference, positive), 1, reference.size - 1)
+            nearest = np.minimum(
+                np.abs(reference[at] - positive), np.abs(reference[at - 1] - positive)
+            )
+            assert (nearest <= 1e-12 * positive).all()
+
     def test_y_values_empty_for_exact_machines(self, ref_ex, ref_ne):
         assert simulate_beliefs(ref_ex, 8, 16, seed=2).y_values.size == 0
         assert simulate_beliefs(ref_ne, 0, 16, seed=2).y_values.size == 0

@@ -444,6 +444,16 @@ class TestEscapeRate:
     def test_one_state(self, ref_1):
         assert escape_rate(ref_1) == 0.0
 
+    def test_same_accuracy_as_rate_report(
+        self, ref_ex, ref_ne, ref_gm, ref_1, mix_machine, trans_machine, mixed_corpus
+    ):
+        machines = [ref_ex, ref_ne, ref_gm, ref_1, mix_machine, trans_machine]
+        machines += [
+            random_machine(n, 3, density=0.8, seed=s) for n in (5, 8, 12) for s in range(5)
+        ]
+        for m in machines + mixed_corpus[:20]:
+            assert escape_rate(m) == rate_report(m).escape
+
     def test_full_pair_matrix_radius_is_one_when_components_exist(
         self, ref_ne, mix_machine
     ):
