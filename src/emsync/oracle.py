@@ -51,17 +51,16 @@ def _extend_level(delta_ext, table_ext, states, values, combine):
 
 
 def _residual_mass(phi):
-    """Per row: total mass off the most likely entry.
+    """Per row: total mass off the most likely entry (the first on ties).
 
     Mathematically 1 - max, but summing the small entries directly keeps
     residuals below machine epsilon representable instead of rounding
-    them to 0.
+    them to 0.  The sum runs column by column: numpy reduces a short row
+    axis one row at a time.
     """
-    phi = np.atleast_2d(phi)
-    top = np.argmax(phi, axis=1)
-    rest = phi.copy()
-    rest[np.arange(phi.shape[0]), top] = 0.0
-    return rest.sum(axis=1)
+    rest = np.atleast_2d(phi).copy()
+    rest[np.arange(rest.shape[0]), np.argmax(rest, axis=1)] = 0.0
+    return functools.reduce(np.add, rest.T)
 
 
 def _endpoint_posterior(log_start, logv, endpoints):

@@ -45,7 +45,43 @@ def pair_matrix(pa):
     return PairMatrix(pa)
 
 
-def _power_steps(A, d, x, windows=None):
+def _canonical_tables(vals, cols):
+    """Canonical form of (rows, w) value and column tables, -1 for no entry.
+
+    Per row, the distinct columns holding a positive value, in ascending
+    order; the values of a repeated column are summed in table order, as
+    `chain_matrix` sums them.  Returned transposed, as (width, rows) arrays
+    padded with value 0 and column -1, width the most entries of any row:
+    a step then adds one contiguous vector per slot, where a sum along the
+    short row axis would run row by row.
+    """
+    rows = cols.shape[0]
+    key = np.where(cols >= 0, cols, rows)  # no entry sorts last
+    order = np.argsort(key, axis=1, kind="stable")
+    key = np.take_along_axis(key, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    last = np.ones(key.shape, dtype=bool)
+    for j in range(1, key.shape[1]):
+        run = key[:, j] == key[:, j - 1]
+        vals[run, j] += vals[run, j - 1]
+        last[run, j - 1] = False
+    keep = last & (key < rows) & (vals > 0)
+    r, j = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=1) - 1)[r, j]
+    out_vals = np.zeros((int(keep.sum(axis=1).max(initial=0)), rows))
+    out_cols = np.full(out_vals.shape, -1)
+    out_vals[slot, r] = vals[r, j]
+    out_cols[slot, r] = key[r, j]
+    return out_vals, out_cols
+
+
+def _step(vals, cols, z):
+    """Product of the operator in canonical tables with z, O(rows * width);
+    padding slots add 0."""
+    return (vals * z[cols]).sum(axis=0)
+
+
+def _power_steps(vals, cols, d, x, windows=None):
     """Bracketed power iteration from positive x, in windows of d steps.
 
     For positive x the quotient (A^d x)_i / x_i brackets rho(A)^d between
@@ -58,7 +94,7 @@ def _power_steps(A, d, x, windows=None):
         z = x
         shift = 0.0
         for _ in range(d):
-            z = A @ z
+            z = _step(vals, cols, z)
             s = float(z.max())
             shift += math.log(s)
             z = z / s
@@ -68,24 +104,28 @@ def _power_steps(A, d, x, windows=None):
     return x
 
 
-def _noda_steps(A, x):
+def _noda_steps(vals, cols, x):
     """Noda iteration from positive x (Numer. Math. 17, 1971).
 
     Each vector's Collatz-Wielandt extremes min/max (Ax)_i / x_i bracket
     rho(A); the upper one, sigma, shifts the next solve (sigma I - A) y = x.
     For irreducible A and sigma > rho that inverse is positive, so x stays
-    positive and every bracket is certified.  Yields one bracket per vector
-    and returns the vector of the narrowest bracket as soon as a solve is
+    positive and every bracket is certified.  The dense A is built before
+    the first solve, from the tables.  Yields one bracket per vector and
+    returns the vector of the narrowest bracket as soon as a solve is
     singular, leaves the positive cone, or a bracket fails to narrow.
     """
+    A = None
     best, best_width = x, math.inf
     while True:
-        ratio = (A @ x) / x
+        ratio = _step(vals, cols, x) / x
         lo, hi = float(ratio.min()), float(ratio.max())
         if not hi - lo < best_width:
             return best
         best, best_width = x, hi - lo
         yield lo, hi
+        if A is None:
+            A = chain_matrix(cols.T, vals.T)
         shifted = -A
         shifted.flat[:: A.shape[0] + 1] += hi
         try:
@@ -97,65 +137,82 @@ def _noda_steps(A, x):
         x = y / y.max()
 
 
-def _radius_steps(A, d):
+def _radius_steps(vals, cols, d):
     """Brackets of the certified iteration on an irreducible block.
 
-    Power iteration runs until its matrix-vector work matches one dense
-    factorisation of the b x b block (b windows); a block still open then
-    hands its vector to Noda iteration, whose steps each cost a
-    factorisation but converge superlinearly whatever the gap |l2/l1|.
-    Should Noda stall, power iteration resumes from its best vector.
+    Power iteration runs b windows on the b x b block (with dense steps,
+    the work of one factorisation); a block still open then hands its
+    vector to Noda iteration, whose steps each cost a factorisation but
+    converge superlinearly whatever the gap |l2/l1|.  Should Noda stall,
+    power iteration resumes from its best vector.
     """
-    b = A.shape[0]
-    x = yield from _power_steps(A, d, np.full(b, 1.0 / b), windows=b)
-    x = yield from _noda_steps(A, x)
-    yield from _power_steps(A, d, x)
+    b = cols.shape[1]
+    x = yield from _power_steps(vals, cols, d, np.full(b, 1.0 / b), windows=b)
+    x = yield from _noda_steps(vals, cols, x)
+    yield from _power_steps(vals, cols, d, x)
 
 
-def _block_radius(A, d, eps, max_iter):
-    """Spectral radius of an irreducible nonnegative matrix whose support
-    graph has period d: the midpoint of the intersection [lo, hi] of the
-    certified brackets, once its width is at most eps.  The true value
-    always lies inside [lo, hi]; every power window and every Noda step
-    counts against max_iter.
+def _block_radius(vals, cols, d, eps, max_iter):
+    """Spectral radius of an irreducible nonnegative block, given as
+    canonical tables, whose support graph has period d: the midpoint of the
+    intersection [lo, hi] of the certified brackets, once its width is at
+    most eps.  The true value always lies inside [lo, hi]; every power
+    window and every Noda step counts against max_iter.
     """
     lo, hi = 0.0, math.inf
-    for step_lo, step_hi in itertools.islice(_radius_steps(A, d), max_iter):
+    for step_lo, step_hi in itertools.islice(_radius_steps(vals, cols, d), max_iter):
         lo, hi = max(lo, step_lo), min(hi, step_hi)
         if hi - lo <= eps:
             return 0.5 * (lo + hi)
     raise ConvergenceError("radius iteration hit the iteration cap", bracket=(lo, hi))
 
 
-def spectral_radius(mat, eps=1e-10, max_iter=10**6):
+def spectral_radius(mat, eps=1e-10, max_iter=10**6, columns=None):
     """Largest-modulus eigenvalue of a nonnegative square matrix within eps.
 
+    Without `columns`, mat is the dense square matrix.  With `columns`, mat
+    and columns are (rows, w) tables of one sparse square matrix: row a has
+    entry mat[a, j] in column columns[a, j], -1 meaning no entry, and
+    entries sharing a column add up (the matrix `chain_matrix` builds).
     The support graph is condensed into strongly connected blocks; each
     block runs certified bracketed iteration (power iteration handing off
-    to Noda iteration), and the maximum block value is returned.  A zero
-    matrix gives 0.  eps must be a positive finite number.
+    to Noda iteration, which alone builds the dense block), and the maximum
+    block value is returned.  A zero matrix gives 0.  eps must be a
+    positive finite number.
     """
-    A = np.asarray(mat, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError("matrix must be square")
+    vals = np.asarray(mat, dtype=float)
+    if columns is None:
+        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+            raise InputError("matrix must be square")
+        cols = np.broadcast_to(np.arange(vals.shape[0]), vals.shape)
+    else:
+        cols = np.asarray(columns)
+        if not (vals.ndim == 2 and cols.shape == vals.shape and cols.dtype.kind in "iu"):
+            raise InputError("columns must be an integer table shaped like the values")
+        if not ((cols >= -1) & (cols < vals.shape[0])).all():
+            raise InputError("columns must lie between -1 and the row count - 1")
     if not (eps > 0 and math.isfinite(eps)):
         raise InputError("eps must be a positive finite number")
-    n = A.shape[0]
+    n = vals.shape[0]
     if n == 0:
         return 0.0
-    if not (A.min() >= 0 and A.max() < math.inf):  # false on any NaN
+    if not (np.isfinite(vals).all() and (vals >= 0).all()):
         raise InputError("matrix entries must be finite and nonnegative")
-    if not A.any():
-        return 0.0
-    adjacency = [np.flatnonzero(A[i] > 0) for i in range(n)]
+    vals, cols = _canonical_tables(vals, cols)
+    adjacency = [[c for c in row if c >= 0] for row in cols.T.tolist()]
+    self_loops = np.where(cols == np.arange(n), vals, 0.0).sum(axis=0).tolist()
+    position = np.full(n + 1, -1)  # the extra slot maps column -1 to -1
     value = 0.0
-    for block in strongly_connected_components(n, lambda u: adjacency[u]):
+    for block in strongly_connected_components(n, adjacency.__getitem__):
         if len(block) == 1:
-            value = max(value, float(A[block[0], block[0]]))
+            value = max(value, self_loops[block[0]])
             continue
-        d = component_period(block, lambda u: adjacency[u])
-        sub = A[np.ix_(block, block)]
-        value = max(value, _block_radius(sub, d, eps, max_iter))
+        d = component_period(block, adjacency.__getitem__)
+        position[block] = np.arange(len(block))
+        sub_cols = position[cols[:, block]]
+        sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
+        position[block] = -1
+        value = max(value, _block_radius(sub_vals, sub_cols, d, eps, max_iter))
     return value
 
 
@@ -283,6 +340,15 @@ def edge_machine_stats(component, pa):
     targets = moves.tolist()
     if not is_strongly_connected(len(rows), lambda a: (b for b in targets[a] if b >= 0)):
         raise InputError("component repeats a pair or is not strongly connected")
+    return _component_stats(component, rows, pa)
+
+
+def _component_stats(component, rows, pa):
+    """edge_machine_stats without its input checks: `rows` are the rows of
+    a closed strongly connected component, listed as pairs in `component`."""
+    m = pa.machine
+    p, q = pa.pairs[rows].T
+    moves = pa.moves_within(rows)
     rho = solve_stationary(chain_matrix(moves, pa.weight[rows]))
     at, j = np.nonzero(moves >= 0)
     w = m.probs[p[at], j]
@@ -298,7 +364,10 @@ def edge_machine_stats(component, pa):
 def _drifts(pa, da):
     """Per-component drifts and the prediction rate exp(-min drift); an
     exact machine has no closed deadlock component and gives ([], 0.0)."""
-    drifts = [edge_machine_stats(comp, pa).expectation for comp in da.components]
+    drifts = [
+        _component_stats(comp, rows, pa).expectation
+        for comp, rows in zip(da.components, da.component_rows)
+    ]
     return drifts, (math.exp(-min(drifts)) if drifts else 0.0)
 
 
@@ -309,7 +378,7 @@ def _surviving_radius(pa, da, eps):
     rows = np.arange(pa.count)
     if da.component_rows:
         rows = np.delete(rows, np.concatenate(da.component_rows))
-    return spectral_radius(chain_matrix(pa.moves_within(rows), pa.weight[rows]), eps)
+    return spectral_radius(pa.weight[rows], eps, columns=pa.moves_within(rows))
 
 
 def prediction_rate(m):

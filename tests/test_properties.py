@@ -25,6 +25,7 @@ from emsync import (
     rate_report,
     spectral_radius,
 )
+from emsync.machine import chain_matrix
 
 pair_layer_settings = settings(
     max_examples=120,
@@ -82,6 +83,30 @@ def permutation_machines(draw):
         [f"s{j}" for j in range(k)],
         edges,
         name="drawn-permutation",
+        check_equivalent=False,
+    )
+
+
+@st.composite
+def split_symbol_machines(draw):
+    """A drawn machine whose symbol j is split three ways: two added
+    symbols copy its moves, and the three share its probability in drawn
+    parts, so every pair that moves on j reaches one target three times."""
+    m = draw(machines())
+    j = draw(st.integers(0, m.k - 1))
+    parts = [draw(st.integers(1, 9)) for _ in range(3)]
+    names = [f"s{j}", "twin1", "twin2"]
+    edges = []
+    for p, a, t, w in m.edges():
+        if a != j:
+            edges.append((str(p), f"s{a}", str(t), w))
+            continue
+        edges += [(str(p), name, str(t), w * part / sum(parts)) for name, part in zip(names, parts)]
+    return EpsilonMachine(
+        list(m.states),
+        list(m.symbols) + names[1:],
+        edges,
+        name="drawn-split",
         check_equivalent=False,
     )
 
@@ -195,3 +220,15 @@ def test_escape_is_radius_of_dense_restriction(m):
     keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
     T = pair_matrix(pa).total
     assert rate_report(m).escape == spectral_radius(T[np.ix_(keep, keep)], 1e-9)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), split_symbol_machines()))
+def test_radius_of_tables_is_radius_of_chain_matrix(m):
+    pa, da = deadlock_analysis(m)
+    rows = np.arange(pa.count)
+    if da.component_rows:
+        rows = np.delete(rows, np.concatenate(da.component_rows))
+    for subset in (np.arange(pa.count), rows):
+        t, w = pa.moves_within(subset), pa.weight[subset]
+        assert spectral_radius(w, 1e-9, columns=t) == spectral_radius(chain_matrix(t, w), 1e-9)

@@ -24,6 +24,7 @@ from emsync import (
     spectral_radius,
     sync_rate,
 )
+from emsync import rates
 from emsync.machine import EpsilonMachine
 
 SRC_EX = 0.3535533905932738  # sqrt(1/8)
@@ -50,6 +51,26 @@ def cerny_machine(n):
     return EpsilonMachine([str(i) for i in range(n)], ["a", "b"], edges, name=f"cerny-{n}")
 
 
+def cycle_machine(n, k, seed):
+    """Exact machine drawn like the benchmark's exact ladder: symbol 0 is a
+    Hamiltonian cycle in a random order, the others random maps, the last
+    of them undefined at one state; each state's probabilities are half a
+    flat Dirichlet draw and half uniform."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    delta = np.empty((n, k), dtype=np.int64)
+    delta[order, 0] = np.roll(order, -1)
+    for j in range(1, k):
+        delta[:, j] = rng.integers(0, n, size=n)
+    delta[rng.integers(n), k - 1] = -1
+    edges = []
+    for i in range(n):
+        defined = np.flatnonzero(delta[i] >= 0)
+        probs = 0.5 * rng.dirichlet(np.ones(defined.size)) + 0.5 / defined.size
+        edges += [(str(i), f"s{j}", str(delta[i, j]), float(w)) for j, w in zip(defined, probs)]
+    return EpsilonMachine([str(i) for i in range(n)], [f"s{j}" for j in range(k)], edges)
+
+
 def dense_radius(A):
     return float(np.abs(np.linalg.eigvals(np.asarray(A))).max())
 
@@ -73,6 +94,20 @@ def solve_calls(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+@pytest.fixture
+def chain_matrix_calls(monkeypatch):
+    """Row counts of the dense blocks the rates module builds."""
+    calls = []
+    build = rates.chain_matrix
+
+    def counting(targets, weights):
+        calls.append(targets.shape[0])
+        return build(targets, weights)
+
+    monkeypatch.setattr(rates, "chain_matrix", counting)
     return calls
 
 
@@ -172,6 +207,30 @@ class TestSpectralRadius:
         with pytest.raises(InputError):
             spectral_radius([[0.5]], eps=0.0)
 
+    def test_table_input_validation(self):
+        w = np.array([[0.5, 0.5], [1.0, 0.0]])
+        bad_columns = [
+            np.array([[0, 1]]),  # one row short
+            np.array([[0, 1, 1], [0, 1, 1]]),  # one column too many
+            np.array([0, 1]),
+            np.array([[0, 2], [1, -1]]),  # past the last row
+            np.array([[0, -2], [1, -1]]),
+            w,  # not integers
+        ]
+        for columns in bad_columns:
+            with pytest.raises(InputError, match="columns"):
+                spectral_radius(w, columns=columns)
+        with pytest.raises(InputError, match="columns"):
+            spectral_radius(np.zeros(2), columns=np.zeros(2, dtype=int))
+        with pytest.raises(InputError, match="finite"):
+            spectral_radius([[math.nan, 0.5], [1.0, 0.0]], columns=[[0, 1], [0, -1]])
+
+    def test_tables_sum_repeated_columns(self):
+        # row 0 reaches column 1 twice; -1 entries and zero values are absent
+        w = [[0.25, 0.25, 7.0], [0.25, 0.0, 0.0]]
+        t = [[1, 1, -1], [0, 0, -1]]
+        assert spectral_radius(w, columns=t) == pytest.approx(SRC_EX, abs=1e-10)
+
     @pytest.mark.parametrize(
         "A",
         [
@@ -245,6 +304,14 @@ class TestSyncRate:
         m = cerny_machine(n)
         T = pair_matrix(build_pair_automaton(m)).total
         assert sync_rate(m) == pytest.approx(dense_radius(T), abs=1e-9)
+
+    def test_power_phase_builds_no_dense_block(self, chain_matrix_calls):
+        sync_rate(cycle_machine(40, 2, seed=1))
+        assert chain_matrix_calls == []
+
+    def test_noda_builds_one_dense_block(self, chain_matrix_calls):
+        sync_rate(cerny_machine(17))
+        assert chain_matrix_calls == [17 * 16]
 
     def test_slow_gap_random_machine_matches_eigenvalues(self):
         m = random_machine(10, 2, density=0.9, seed=10)
