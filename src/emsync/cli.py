@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import EmsyncError, InputError, MachineError, PreconditionError, ResourceError
+from .errors import EmsyncError, InputError
 from .machine import parse_machine, random_machine, render_machine
 from .oracle import exact_word_stats, simulate_beliefs
 from .pairs import classify
@@ -250,18 +250,9 @@ def main(argv=None):
         # exit cannot fail again (Python docs, signal, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MachineError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except EmsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except MemoryError:
         print("error: out of memory (the machine's pair space is too large)", file=sys.stderr)
         return 3

@@ -1,17 +1,21 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit statuses: machine/input problems exit 2,
-violated analysis preconditions exit 1, resource and generation failures
-exit 3.
+The CLI exits with the `exit_code` of the error it catches: machine/input
+problems exit 2, resource and generation failures exit 3, and every other
+error (violated analysis preconditions, numerical failures) exits 1.
 """
 
 
 class EmsyncError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class MachineError(EmsyncError):
     """A machine description is invalid."""
+
+    exit_code = 2
 
 
 class MachineSyntaxError(MachineError):
@@ -51,6 +55,8 @@ class EquivalentStatesError(MachineError):
 class InputError(EmsyncError):
     """An operation received an argument outside its domain."""
 
+    exit_code = 2
+
 
 class ImpossibleWordError(InputError):
     """A word with zero probability under the given initial distribution."""
@@ -63,6 +69,8 @@ class PreconditionError(EmsyncError):
 
 class ResourceError(EmsyncError):
     """A configured budget or cap was exceeded."""
+
+    exit_code = 3
 
 
 class GenerationError(ResourceError):

@@ -1,88 +1,90 @@
-"""Small graph helpers: Tarjan SCCs and cycle periods on dense index graphs."""
+"""Graph helpers on target tables: Tarjan SCCs, cycle periods, restriction.
 
+A graph on nodes 0..rows-1 is a (rows, w) integer table: row u holds the
+targets of u's edges, -1 for no edge.  `delta`, `delta2` and the transposed
+radius tables are all of this form.
+"""
+
+import itertools
 from math import gcd
 
+import numpy as np
 
-def strongly_connected_components(n, successors):
-    """Strongly connected components of a graph on nodes 0..n-1.
 
-    successors(u) yields the out-neighbors of u.  Iterative Tarjan; returns a
-    list of components (each a sorted list of nodes) in reverse topological
-    order of the condensation.
+def _adjacency(targets):
+    return [[t for t in row if t >= 0] for row in np.asarray(targets).tolist()]
+
+
+def restrict(targets, nodes):
+    """Rows `nodes` of a target table, targets renumbered to positions
+    within `nodes`; -1 where the edge is absent or leaves `nodes`."""
+    targets = np.asarray(targets)
+    position = np.full(targets.shape[0] + 1, -1)  # the extra slot maps -1 to -1
+    position[nodes] = np.arange(len(nodes))
+    return position[targets[nodes]]
+
+
+def strongly_connected_components(targets):
+    """Strongly connected components of the graph of a target table.
+
+    Iterative Tarjan; returns a list of components (each a sorted list of
+    nodes) in reverse topological order of the condensation.
     """
-    index = [0] * n
+    adjacency = _adjacency(targets)
+    n = len(adjacency)
+    index = [0] * n  # visit order from 1; n + 1 once the component is out
     low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack = []
-    components = []
-    counter = 1
+    stack, work, components = [], [], []
+    counter = itertools.count(1)
+
+    def visit(v):
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        work.append((v, iter(adjacency[v])))
 
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
-        work = [(root, iter(successors(root)))]
-        visited[root] = True
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        visit(root)
         while work:
             u, it = work[-1]
-            advanced = False
             for v in it:
-                if not visited[v]:
-                    visited[v] = True
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                    work.append((v, iter(successors(v))))
-                    advanced = True
+                if not index[v]:
+                    visit(v)
                     break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = False
-                    comp.append(v)
-                    if v == u:
-                        break
-                comp.sort()
-                components.append(comp)
+                low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                if low[u] == index[u]:
+                    comp = []
+                    while not comp or comp[-1] != u:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = n + 1
+                    comp.sort()
+                    components.append(comp)
     return components
 
 
-def is_strongly_connected(n, successors):
-    if n <= 1:
-        return True
-    return len(strongly_connected_components(n, successors)) == 1
+def is_strongly_connected(targets):
+    return len(targets) <= 1 or len(strongly_connected_components(targets)) == 1
 
 
-def component_period(nodes, successors):
-    """Period (gcd of cycle lengths) of a strongly connected node set.
-
-    Edges leaving the set are ignored.  A single node without a self-loop has
-    no cycle; 1 is returned as a harmless default.
+def component_period(targets):
+    """Period (gcd of cycle lengths) of a strongly connected target table,
+    such as a block cut out by `restrict`.  A single node without a
+    self-loop has no cycle; 1 is returned as a harmless default.
     """
-    members = set(nodes)
-    start = nodes[0]
-    level = {start: 0}
-    order = [start]
+    adjacency = _adjacency(targets)
+    level = [-1] * len(adjacency)
+    level[0] = 0
+    order = [0]
     g = 0
     for u in order:
-        for v in successors(u):
-            if v not in members:
-                continue
-            if v in level:
+        for v in adjacency[u]:
+            if level[v] >= 0:
                 g = gcd(g, level[u] + 1 - level[v])
             else:
                 level[v] = level[u] + 1

@@ -95,7 +95,7 @@ class EpsilonMachine:
         self.delta = delta
         self.probs = probs
 
-        if not is_strongly_connected(n, self._successors):
+        if not is_strongly_connected(delta):
             raise NotStronglyConnectedError("transition graph is not strongly connected")
         if check_equivalent:
             classes = check_equivalence(self)
@@ -113,9 +113,6 @@ class EpsilonMachine:
     @property
     def k(self):
         return len(self.symbols)
-
-    def _successors(self, i):
-        return (int(t) for t in self.delta[i] if t >= 0)
 
     def state_index(self, state):
         """Dense index of a state given by name or already as an index."""

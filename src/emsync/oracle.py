@@ -403,7 +403,7 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     rng = np.random.default_rng(seed)
     pi = stationary_distribution(m).pi
     delta_ext, logp_ext = _extended_tables(m)
-    cum = np.cumsum(m.probs, axis=1)
+    cum = np.cumsum(m.probs, axis=1).T  # row j: each state's P(symbol <= j)
     last_live = np.array([max(j for j in range(k) if m.probs[i, j] > 0) for i in range(n)])
 
     start = np.minimum((rng.random(runs)[:, None] >= np.cumsum(pi)[None, :]).sum(axis=1), n - 1)
@@ -414,7 +414,9 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     for step in range(length + 1):
         if step > 0:
             u = rng.random(runs)
-            sym = (u[:, None] >= cum[current]).sum(axis=1)
+            # count the thresholds passed, column by column and as integers
+            # (np.add of two boolean arrays is a logical or)
+            sym = functools.reduce(np.add, (u >= c[current] for c in cum), 0)
             sym = np.minimum(sym, k - 1)
             bad = m.probs[current, sym] == 0.0
             if bad.any():

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import strongly_connected_components
+from .graphs import restrict, strongly_connected_components
 
 
 class PairAutomaton:
@@ -56,9 +56,7 @@ class PairAutomaton:
     def moves_within(self, rows):
         """delta2 of `rows`, its targets renumbered to positions within
         `rows`; -1 where the move is undefined or leaves `rows`."""
-        position = np.full(self.count + 1, -1)  # the extra slot maps delta2's -1 to -1
-        position[rows] = np.arange(len(rows))
-        return position[self.delta2[rows]]
+        return restrict(self.delta2, rows)
 
     def successors(self, r):
         return (int(t) for t in self.delta2[r] if t >= 0)
@@ -142,12 +140,13 @@ def deadlock_components(da, pa):
     smallest member, members sorted.
     """
     dead_rows = np.flatnonzero(~da.mask)
-    successors = [[t for t in row if t >= 0] for row in pa.moves_within(dead_rows).tolist()]
-    rows = []
-    for comp in strongly_connected_components(dead_rows.size, successors.__getitem__):
-        members = set(comp)
-        if all(t in members for i in comp for t in successors[i]):
-            rows.append(dead_rows[comp])
+    moves = pa.moves_within(dead_rows)
+    comps = strongly_connected_components(moves)
+    label = np.empty(dead_rows.size, dtype=np.int64)
+    for c, comp in enumerate(comps):
+        label[comp] = c
+    leaves = ((moves >= 0) & (label[moves] != label[:, None])).any(axis=1)
+    rows = [dead_rows[comp] for comp in comps if not leaves[comp].any()]
     rows.sort(key=lambda comp_rows: comp_rows[0])
     da.component_rows = rows
     da.components = [tuple(map(tuple, pa.pairs[r].tolist())) for r in rows]

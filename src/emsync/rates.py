@@ -16,9 +16,11 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InputError, PreconditionError
-from .graphs import component_period, is_strongly_connected, strongly_connected_components
+from .graphs import component_period, is_strongly_connected, restrict, strongly_connected_components
 from .machine import chain_matrix, solve_stationary, stationary_distribution
 from .pairs import build_pair_automaton, deadlock_analysis, mergeable_pairs
+
+RATE_EPS = 1e-9  # absolute accuracy of sync_rate, escape_rate and rate_report
 
 
 class PairMatrix:
@@ -76,8 +78,8 @@ def _canonical_tables(vals, cols):
 
 
 def _step(vals, cols, z):
-    """Product of the operator in canonical tables with z, O(rows * width);
-    padding slots add 0."""
+    """Product with z of the operator in transposed (width, rows) tables,
+    O(rows * width); slots with column -1 must carry value 0."""
     return (vals * z[cols]).sum(axis=0)
 
 
@@ -199,24 +201,21 @@ def spectral_radius(mat, eps=1e-10, max_iter=10**6, columns=None):
     if not (np.isfinite(vals).all() and (vals >= 0).all()):
         raise InputError("matrix entries must be finite and nonnegative")
     vals, cols = _canonical_tables(vals, cols)
-    adjacency = [[c for c in row if c >= 0] for row in cols.T.tolist()]
     self_loops = np.where(cols == np.arange(n), vals, 0.0).sum(axis=0).tolist()
-    position = np.full(n + 1, -1)  # the extra slot maps column -1 to -1
     value = 0.0
-    for block in strongly_connected_components(n, adjacency.__getitem__):
+    for block in strongly_connected_components(cols.T):
         if len(block) == 1:
             value = max(value, self_loops[block[0]])
             continue
-        d = component_period(block, adjacency.__getitem__)
-        position[block] = np.arange(len(block))
-        sub_cols = position[cols[:, block]]
+        targets = restrict(cols.T, block)
+        sub_cols = targets.T.copy()
         sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
-        position[block] = -1
+        d = component_period(targets)
         value = max(value, _block_radius(sub_vals, sub_cols, d, eps, max_iter))
     return value
 
 
-def sync_rate(m, eps=1e-9):
+def sync_rate(m, eps=RATE_EPS):
     """Synchronization rate constant of an exact machine: the decay rate of
     the probability that a word of length L fails to reset the observer.
 
@@ -262,13 +261,15 @@ class NsynBounds:
 def nsyn_bounds(m, length):
     """Bounds after `length` symbols, by repeated steps of the pair operator
     v <- sum_j weight[:, j] * v[delta2[:, j]] from the all-ones vector,
-    O(m k) each (undefined moves carry weight 0)."""
+    O(m k) each: `_step` on the transposed tables (undefined moves carry
+    weight 0)."""
     if length < 0:
         raise InputError("length must be nonnegative")
     pa = build_pair_automaton(m)
+    vals, cols = pa.weight.T.copy(), pa.delta2.T.copy()
     v = np.ones(pa.count)
     for _ in range(int(length)):
-        v = (pa.weight * v[pa.delta2]).sum(axis=1)
+        v = _step(vals, cols, v)
     totals = np.zeros(m.n)
     maxima = np.zeros(m.n)
     np.add.at(totals, pa.pairs[:, 0], v)
@@ -337,8 +338,7 @@ def edge_machine_stats(component, pa):
         raise InputError("component is not closed under the pair moves")
     # a repeated pair renumbers to its last copy, leaving the earlier copy
     # without incoming moves, so this check also catches repeats
-    targets = moves.tolist()
-    if not is_strongly_connected(len(rows), lambda a: (b for b in targets[a] if b >= 0)):
+    if not is_strongly_connected(moves):
         raise InputError("component repeats a pair or is not strongly connected")
     return _component_stats(component, rows, pa)
 
@@ -400,10 +400,10 @@ def escape_rate(m):
     outside every closed component.  Deadlock pairs outside all closed
     components (transient deadlock) stay in the restriction: a pair sitting
     there has not yet entered a component and still counts as surviving.
-    Computed to the same accuracy (1e-9) as `rate_report(m).escape`.
+    Computed to the same accuracy (RATE_EPS) as `rate_report(m).escape`.
     """
     pa, da = deadlock_analysis(m)
-    return _surviving_radius(pa, da, 1e-9)
+    return _surviving_radius(pa, da, RATE_EPS)
 
 
 class RateReport:
@@ -430,13 +430,13 @@ class RateReport:
         )
 
 
-def rate_report(m, eps=1e-9):
+def rate_report(m):
     """Classification plus all rate constants in one pass.  An exact machine
     has no closed components, so its escape restriction is the whole pair
     matrix and its escape rate is src."""
     pa, da = deadlock_analysis(m)
     drifts, prc = _drifts(pa, da)
-    escape = _surviving_radius(pa, da, eps)
+    escape = _surviving_radius(pa, da, RATE_EPS)
     if drifts:
         return RateReport("non-exact", None, prc, escape, drifts)
     return RateReport("exact", escape, prc, escape, drifts)

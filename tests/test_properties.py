@@ -25,6 +25,12 @@ from emsync import (
     rate_report,
     spectral_radius,
 )
+from emsync.graphs import (
+    component_period,
+    is_strongly_connected,
+    restrict,
+    strongly_connected_components,
+)
 from emsync.machine import chain_matrix
 
 pair_layer_settings = settings(
@@ -146,6 +152,55 @@ def reference_mergeable(m):
     return np.array([pair in merged for pair in pairs], dtype=bool)
 
 
+def graph_tables(m):
+    """The target tables the program hands to the graph helpers: the state
+    graph, the pair graph and the moves among deadlock pairs."""
+    pa = build_pair_automaton(m)
+    dead = np.flatnonzero(~mergeable_pairs(pa).mask)
+    return [m.delta, pa.delta2, pa.moves_within(dead)]
+
+
+def adjacency_matrix(targets):
+    a = np.zeros((len(targets), len(targets)), dtype=np.int64)
+    rows, slots = np.nonzero(targets >= 0)
+    a[rows, targets[rows, slots]] = 1
+    return a
+
+
+def reachability(targets):
+    """Reflexive transitive closure of a table's graph, by boolean squaring."""
+    reach = (adjacency_matrix(targets) + np.eye(len(targets), dtype=np.int64)) > 0
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def reference_period(targets):
+    """gcd of the lengths L <= b with tr(A^L) > 0 on a b-node table; 0 when
+    the graph has no cycle."""
+    a = adjacency_matrix(targets)
+    power, g = np.eye(len(a), dtype=np.int64), 0
+    for length in range(1, len(a) + 1):
+        power = np.minimum(power @ a, 1)
+        if np.trace(power) > 0:
+            g = math.gcd(g, length)
+    return g
+
+
+def reference_restrict(targets, nodes):
+    """graphs.restrict by a loop over the entries of the chosen rows."""
+    where = {v: i for i, v in enumerate(nodes)}
+    out = np.full((len(nodes), targets.shape[1]), -1, dtype=np.int64)
+    for i, v in enumerate(nodes):
+        for j in range(targets.shape[1]):
+            t = int(targets[v, j])
+            if t >= 0 and t in where:
+                out[i, j] = where[t]
+    return out
+
+
 def reference_edge_stats(m, component, rho):
     """Edge states, edge_rho, f_values and expectation of a component by a
     loop over its pairs and symbols, given its equilibrium rho."""
@@ -232,3 +287,43 @@ def test_radius_of_tables_is_radius_of_chain_matrix(m):
     for subset in (np.arange(pa.count), rows):
         t, w = pa.moves_within(subset), pa.weight[subset]
         assert spectral_radius(w, 1e-9, columns=t) == spectral_radius(chain_matrix(t, w), 1e-9)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines()))
+def test_components_are_mutual_reachability_classes(m):
+    for targets in graph_tables(m):
+        components = strongly_connected_components(targets)
+        label = np.full(len(targets), -1)
+        for c, comp in enumerate(components):
+            assert comp == sorted(comp)
+            assert (label[comp] == -1).all()
+            label[comp] = c
+        assert (label >= 0).all()
+        reach = reachability(targets)
+        assert np.array_equal(label[:, None] == label[None, :], reach & reach.T)
+        # reverse topological order: every edge ends in its own component
+        # or in one listed earlier
+        rows, slots = np.nonzero(targets >= 0)
+        assert (label[targets[rows, slots]] <= label[rows]).all()
+        assert is_strongly_connected(targets) == (len(components) <= 1)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines()))
+def test_component_period_is_gcd_of_closed_walk_lengths(m):
+    for targets in graph_tables(m):
+        for block in strongly_connected_components(targets):
+            sub = restrict(targets, block)
+            assert component_period(sub) == (reference_period(sub) or 1)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines()), st.randoms(use_true_random=False))
+def test_restrict_matches_entry_loop(m, random):
+    for targets in graph_tables(m):
+        nodes = random.sample(range(len(targets)), random.randint(0, len(targets)))
+        expected = reference_restrict(targets, nodes)
+        assert np.array_equal(restrict(targets, nodes), expected)
+        for block in strongly_connected_components(targets):
+            assert np.array_equal(restrict(targets, block), reference_restrict(targets, block))
