@@ -58,9 +58,6 @@ class PairAutomaton:
         `rows`; -1 where the move is undefined or leaves `rows`."""
         return restrict(self.delta2, rows)
 
-    def successors(self, r):
-        return (int(t) for t in self.delta2[r] if t >= 0)
-
     def __repr__(self):
         return f"PairAutomaton({self.machine.name!r}, pairs={self.count})"
 

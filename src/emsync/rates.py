@@ -21,6 +21,10 @@ from .machine import chain_matrix, solve_stationary, stationary_distribution
 from .pairs import build_pair_automaton, deadlock_analysis, mergeable_pairs
 
 RATE_EPS = 1e-9  # absolute accuracy of sync_rate, escape_rate and rate_report
+DRIFT_EPS = 1e-12  # raw width at which a drift bracket stops
+DRIFT_MAX_STEPS = 10**5  # relative value iteration steps per component
+DENSE_SEED_PAIRS = 256  # largest component whose drift iteration starts from a dense solve
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 class PairMatrix:
@@ -340,15 +344,6 @@ def edge_machine_stats(component, pa):
     # without incoming moves, so this check also catches repeats
     if not is_strongly_connected(moves):
         raise InputError("component repeats a pair or is not strongly connected")
-    return _component_stats(component, rows, pa)
-
-
-def _component_stats(component, rows, pa):
-    """edge_machine_stats without its input checks: `rows` are the rows of
-    a closed strongly connected component, listed as pairs in `component`."""
-    m = pa.machine
-    p, q = pa.pairs[rows].T
-    moves = pa.moves_within(rows)
     rho = solve_stationary(chain_matrix(moves, pa.weight[rows]))
     at, j = np.nonzero(moves >= 0)
     w = m.probs[p[at], j]
@@ -361,14 +356,75 @@ def _component_stats(component, rows, pa):
     return EdgeMachineStats(tuple(component), rho, edge_states, edge_rho, f_values, expectation)
 
 
+def _drift_bracket(rows, pa):
+    """Certified interval [lo, hi] holding the drift of the closed strongly
+    connected component `rows`, from relative value iteration on its
+    sparse tables; no c x c matrix is built for c > DENSE_SEED_PAIRS.
+
+    Let P be the component chain, g_i = sum_j w_ij ln(w_ij / P(j|q_i)) the
+    expected log ratio out of pair i, and rho the left Perron vector of P
+    (its equilibrium), rho P = lam rho, rho.1 = 1; the drift is E = rho.g.
+    On the lazy chain P' = (I + P)/2, for any vector h, r = g + P'h - h
+    gives rho.r = E + (lam - 1) rho.h / 2, so E lies in [min r, max r]
+    widened by |lam - 1| |h|/2 <= delta |h|/2, where delta is the rows' sum
+    defect max_i |1 - sum_j w_ij| (Odoni, Oper. Res. 17, 1969; lam lies
+    between the extreme row sums).  Each step sets h <- h + r - r_0 at
+    O(c k) cost; the laziness makes the chain aperiodic, so the span of r
+    shrinks to 0.  A component of at most DENSE_SEED_PAIRS pairs first
+    takes h from one dense Poisson solve (I - P)h + E 1 = g, h_0 = 0,
+    doubled for the lazy chain; its bracket then closes in about one step.
+
+    Iteration stops once max r - min r <= DRIFT_EPS.  Each end is then
+    widened by omega = 2 (k + 5) u (max_i G_i + (1 + delta) |h|) +
+    delta |h| / 2, with u the unit roundoff, |h| = max_i |h_i| and
+    G_i = sum_j w_ij (|ln(w_ij / P(j|q_i))| + 1).  With a libm log within
+    one ulp, each term of g is within 4 u w_ij (|ln| + 1) of exact and
+    their sum within (k - 1) u G_i more, so |g_i error| <= (k + 3) u G_i;
+    the k products and sums of a step, the subtraction of h and the
+    addition of g put r within (k + 3) u (1 + delta) |h| + u |g_i| of its
+    exact value for the h at hand, and |g_i| <= G_i.  The factor 2 covers
+    second-order terms and the rounding of omega and of lo - omega and
+    hi + omega; delta is computed plus (k + 1) u for the rounding of the
+    row sums.  Raises ConvergenceError, with the widened bracket of the
+    last step, after DRIFT_MAX_STEPS steps.
+    """
+    vals, cols = pa.weight[rows].T.copy(), pa.moves_within(rows).T.copy()
+    k, c = vals.shape
+    # closure: the second coordinate accepts every symbol the first emits
+    partner = pa.machine.probs[pa.pairs[rows, 1]].T
+    log_ratio = np.log(np.divide(vals, partner, out=np.ones(vals.shape), where=cols >= 0))
+    g = (vals * log_ratio).sum(axis=0)
+    spread = float((vals * (np.abs(log_ratio) + 1.0)).sum(axis=0).max())
+    delta = float(np.abs(1.0 - vals.sum(axis=0)).max()) + (k + 1) * _UNIT_ROUNDOFF
+    h = np.zeros(c)
+    if c <= DENSE_SEED_PAIRS:
+        A = np.eye(c) - chain_matrix(cols.T, vals.T)
+        A[:, 0] = 1.0  # column 0 multiplies h_0 = 0; it now carries E
+        try:
+            x = np.linalg.solve(A, g)
+        except np.linalg.LinAlgError:  # singular in floating point: iterate from h = 0
+            x = h
+        if np.isfinite(x).all():
+            h = 2.0 * x
+            h[0] = 0.0
+    for _ in range(DRIFT_MAX_STEPS):
+        r = g + 0.5 * (_step(vals, cols, h) - h)
+        lo, hi = float(r.min()), float(r.max())
+        size = float(np.abs(h).max())
+        omega = 2 * (k + 5) * _UNIT_ROUNDOFF * (spread + (1.0 + delta) * size) + 0.5 * delta * size
+        if hi - lo <= DRIFT_EPS:
+            return lo - omega, hi + omega
+        h = h + (r - r[0])
+    raise ConvergenceError("drift iteration hit the step cap", bracket=(lo - omega, hi + omega))
+
+
 def _drifts(pa, da):
-    """Per-component drifts and the prediction rate exp(-min drift); an
-    exact machine has no closed deadlock component and gives ([], 0.0)."""
-    drifts = [
-        _component_stats(comp, rows, pa).expectation
-        for comp, rows in zip(da.components, da.component_rows)
-    ]
-    return drifts, (math.exp(-min(drifts)) if drifts else 0.0)
+    """Per-component drift intervals, their midpoints, and the prediction
+    rate exp(-min midpoint); an exact machine has no closed deadlock
+    component and gives ([], [], 0.0)."""
+    intervals = [_drift_bracket(rows, pa) for rows in da.component_rows]
+    drifts = [0.5 * (lo + hi) for lo, hi in intervals]
+    return intervals, drifts, (math.exp(-min(drifts)) if drifts else 0.0)
 
 
 def _surviving_radius(pa, da, eps):
@@ -389,7 +445,7 @@ def prediction_rate(m):
     closed deadlock components; ties resolve to the earliest component in
     the deterministic component order.
     """
-    return _drifts(*deadlock_analysis(m))[1]
+    return _drifts(*deadlock_analysis(m))[2]
 
 
 def escape_rate(m):
@@ -411,17 +467,29 @@ class RateReport:
 
     classification : 'exact' or 'non-exact'.
     src : synchronization rate constant, None for non-exact machines.
-    prc : prediction rate constant (0 for exact machines).
+    prc : prediction rate constant exp(-min drift) (0 for exact machines).
     escape : escape rate constant.
-    drifts : per-component drift expectations, in component order.
+    drifts : per-component drifts, in component order: the midpoints of
+        drift_intervals.
+    drift_intervals : per-component certified (lo, hi) drift intervals.
+    prc_interval : (exp(-min hi), exp(-min lo)), certified to hold the
+        prediction rate; (0.0, 0.0) for exact machines.
     """
 
-    def __init__(self, classification, src, prc, escape, drifts):
+    def __init__(self, classification, src, prc, escape, drift_intervals, drifts):
         self.classification = classification
         self.src = src
         self.prc = prc
         self.escape = escape
+        self.drift_intervals = list(drift_intervals)
         self.drifts = list(drifts)
+        if drift_intervals:
+            self.prc_interval = (
+                math.exp(-min(hi for _, hi in drift_intervals)),
+                math.exp(-min(lo for lo, _ in drift_intervals)),
+            )
+        else:
+            self.prc_interval = (0.0, 0.0)
 
     def __repr__(self):
         return (
@@ -435,8 +503,8 @@ def rate_report(m):
     has no closed components, so its escape restriction is the whole pair
     matrix and its escape rate is src."""
     pa, da = deadlock_analysis(m)
-    drifts, prc = _drifts(pa, da)
+    intervals, drifts, prc = _drifts(pa, da)
     escape = _surviving_radius(pa, da, RATE_EPS)
     if drifts:
-        return RateReport("non-exact", None, prc, escape, drifts)
-    return RateReport("exact", escape, prc, escape, drifts)
+        return RateReport("non-exact", None, prc, escape, intervals, drifts)
+    return RateReport("exact", escape, prc, escape, intervals, drifts)

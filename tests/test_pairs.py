@@ -84,7 +84,7 @@ class TestMergeable:
             da = mergeable_pairs(pa)
             dead_rows = {pa.pair_index(p, q) for p, q in da.deadlock}
             for r in dead_rows:
-                targets = list(pa.successors(r))
+                targets = pa.delta2[r][pa.delta2[r] >= 0].tolist()
                 assert all(t in dead_rows for t in targets)
                 assert pa.weight[r].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -129,7 +129,7 @@ class TestComponents:
             for comp in da.components:
                 rows = {pa.pair_index(p, q) for p, q in comp}
                 for r in rows:
-                    assert set(pa.successors(r)) <= rows
+                    assert set(pa.delta2[r][pa.delta2[r] >= 0].tolist()) <= rows
 
     def test_two_block_machine_components_avoid_merging_pairs(self):
         # two permutation blocks joined by a symbol that collapses each

@@ -11,6 +11,7 @@ same machines.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from emsync import (
     rate_report,
     spectral_radius,
 )
+from emsync import rates
 from emsync.graphs import (
     component_period,
     is_strongly_connected,
@@ -239,6 +241,28 @@ def test_edge_stats_match_loop_reference(m):
         np.testing.assert_allclose(stats.edge_rho, edge_rho, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(stats.f_values, f_values, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(stats.expectation, expectation, rtol=1e-14, atol=0.0)
+
+
+def assert_drift_brackets_hold_dense_drift(m):
+    pa, da = deadlock_analysis(m)
+    for comp, rows in zip(da.components, da.component_rows):
+        lo, hi = rates._drift_bracket(rows, pa)
+        assert lo <= edge_machine_stats(comp, pa).expectation <= hi
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines()))
+def test_drift_bracket_holds_dense_drift(m):
+    assert_drift_brackets_hold_dense_drift(m)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines()))
+def test_drift_bracket_from_zero_holds_dense_drift(m):
+    # every component iterates from h = 0, without the dense seed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rates, "DENSE_SEED_PAIRS", 0)
+        assert_drift_brackets_hold_dense_drift(m)
 
 
 @pair_layer_settings

@@ -71,6 +71,19 @@ def cycle_machine(n, k, seed):
     return EpsilonMachine([str(i) for i in range(n)], [f"s{j}" for j in range(k)], edges)
 
 
+def permutation_cycle_machine(n, seed):
+    """Non-exact machine on n states: symbol a is the cycle i -> i+1,
+    symbol b a random permutation; P(a|i) runs evenly from 0.25 to 0.75.
+    Permutations never merge a pair, so every pair is deadlock."""
+    b_map = np.random.default_rng(seed).permutation(n)
+    edges = []
+    for i in range(n):
+        p_a = 0.25 + 0.5 * i / (n - 1)
+        edges.append((str(i), "a", str((i + 1) % n), p_a))
+        edges.append((str(i), "b", str(b_map[i]), 1.0 - p_a))
+    return EpsilonMachine([str(i) for i in range(n)], ["a", "b"], edges, name=f"perm-cycle-{n}")
+
+
 def dense_radius(A):
     return float(np.abs(np.linalg.eigvals(np.asarray(A))).max())
 
@@ -465,6 +478,60 @@ class TestEdgeMachineStats:
             pa, da = deadlock_analysis(m)
             for comp in da.components:
                 assert edge_machine_stats(comp, pa).expectation > 0.0
+
+
+class TestDriftBracket:
+    def test_intervals_hold_dense_drifts(self, ref_ne, mix_machine, perm4_machine, trans_machine):
+        for m in (ref_ne, mix_machine, perm4_machine, trans_machine):
+            pa, da = deadlock_analysis(m)
+            r = rate_report(m)
+            assert len(r.drift_intervals) == len(da.components)
+            for comp, (lo, hi), mid in zip(da.components, r.drift_intervals, r.drifts):
+                assert lo <= edge_machine_stats(comp, pa).expectation <= hi
+                assert hi - lo <= 2 * rates.DRIFT_EPS
+                assert mid == 0.5 * (lo + hi)
+            lo = min(lo for lo, _ in r.drift_intervals)
+            hi = min(hi for _, hi in r.drift_intervals)
+            assert r.prc_interval == (math.exp(-hi), math.exp(-lo))
+            assert r.prc_interval[0] <= r.prc <= r.prc_interval[1]
+
+    def test_exact_machine_has_no_interval(self, ref_ex):
+        r = rate_report(ref_ex)
+        assert r.drift_intervals == []
+        assert r.prc_interval == (0.0, 0.0)
+
+    def test_large_component_builds_no_dense_chain(self, chain_matrix_calls, solve_calls):
+        m = permutation_cycle_machine(20, seed=3)
+        pa, da = deadlock_analysis(m)
+        assert max(len(rows) for rows in da.component_rows) > rates.DENSE_SEED_PAIRS
+        r = rate_report(m)
+        assert chain_matrix_calls == [] and solve_calls == []
+        for comp, (lo, hi) in zip(da.components, r.drift_intervals):
+            assert lo <= edge_machine_stats(comp, pa).expectation <= hi
+
+    def test_small_component_closes_in_one_step_after_one_solve(
+        self, mix_machine, solve_calls, monkeypatch
+    ):
+        steps = []
+        step = rates._step
+
+        def counting(vals, cols, z):
+            steps.append(z.size)
+            return step(vals, cols, z)
+
+        monkeypatch.setattr(rates, "_step", counting)
+        rates._drifts(*deadlock_analysis(mix_machine))
+        assert solve_calls == [4] and steps == [4]
+
+    def test_step_cap_raises_with_certified_bracket(self, mix_machine, monkeypatch):
+        monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 0)
+        monkeypatch.setattr(rates, "DRIFT_MAX_STEPS", 2)
+        with pytest.raises(ConvergenceError) as exc:
+            rate_report(mix_machine)
+        lo, hi = exc.value.bracket
+        assert hi - lo > rates.DRIFT_EPS
+        pa, da = deadlock_analysis(mix_machine)
+        assert lo <= edge_machine_stats(da.components[0], pa).expectation <= hi
 
 
 class TestPredictionRate:
