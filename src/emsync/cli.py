@@ -9,6 +9,7 @@ input, 3 resource or generation failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -153,7 +154,10 @@ def cmd_gen(args):
     ]
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so calls can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

@@ -157,9 +157,6 @@ class EpsilonMachine:
         over symbols a with delta(p, a) = q."""
         return chain_matrix(self.delta, self.probs)
 
-    def to_text(self):
-        return render_machine(self)
-
     def __eq__(self, other):
         if not isinstance(other, EpsilonMachine):
             return NotImplemented
@@ -196,7 +193,6 @@ def parse_machine(text):
     states = None
     symbols = None
     edges = []
-    edge_lines = []
     ended = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -238,7 +234,6 @@ def parse_machine(text):
             except ValueError:
                 raise MachineSyntaxError(f"bad probability {fields[4]!r}", lineno) from None
             edges.append((fields[1], fields[2], fields[3], prob))
-            edge_lines.append(lineno)
         elif keyword == "end":
             if symbols is None:
                 raise MachineSyntaxError("'end' before the machine is declared", lineno)

@@ -30,20 +30,13 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 class PairMatrix:
     """Dense view of the pair operator, for small machines.
 
-    per_symbol : (k, m, m) array; entry [j, s, t] is the weight of the pair
-        transition s -> t on symbol j (0 when undefined).
-    total : (m, m) sum over symbols.
+    total : (m, m) array; entry [s, t] sums the weights of the pair moves
+        s -> t over the symbols.
     """
 
     def __init__(self, pa):
-        m, k = pa.count, pa.machine.k
-        per_symbol = np.zeros((k, m, m))
-        rows, symbols = np.nonzero(pa.delta2 >= 0)
-        per_symbol[symbols, rows, pa.delta2[rows, symbols]] = pa.weight[rows, symbols]
         total = chain_matrix(pa.delta2, pa.weight)
-        per_symbol.flags.writeable = False
         total.flags.writeable = False
-        self.per_symbol = per_symbol
         self.total = total
 
 
@@ -419,12 +412,9 @@ def _drift_bracket(rows, pa):
 
 
 def _drifts(pa, da):
-    """Per-component drift intervals, their midpoints, and the prediction
-    rate exp(-min midpoint); an exact machine has no closed deadlock
-    component and gives ([], [], 0.0)."""
-    intervals = [_drift_bracket(rows, pa) for rows in da.component_rows]
-    drifts = [0.5 * (lo + hi) for lo, hi in intervals]
-    return intervals, drifts, (math.exp(-min(drifts)) if drifts else 0.0)
+    """Certified drift interval of each closed deadlock component, in
+    component order; an exact machine has none."""
+    return [_drift_bracket(rows, pa) for rows in da.component_rows]
 
 
 def _surviving_radius(pa, da, eps):
@@ -445,7 +435,8 @@ def prediction_rate(m):
     closed deadlock components; ties resolve to the earliest component in
     the deterministic component order.
     """
-    return _drifts(*deadlock_analysis(m))[2]
+    # prc reads only the drift intervals, so no escape radius is computed
+    return RateReport(None, _drifts(*deadlock_analysis(m))).prc
 
 
 def escape_rate(m):
@@ -463,10 +454,13 @@ def escape_rate(m):
 
 
 class RateReport:
-    """Bundle of every rate constant for one machine.
+    """Bundle of every rate constant for one machine, derived from the
+    escape radius and the drift intervals.
 
-    classification : 'exact' or 'non-exact'.
-    src : synchronization rate constant, None for non-exact machines.
+    classification : 'exact' or 'non-exact' (no closed deadlock component,
+        or some).
+    src : synchronization rate constant, the escape rate of an exact
+        machine; None for non-exact machines.
     prc : prediction rate constant exp(-min drift) (0 for exact machines).
     escape : escape rate constant.
     drifts : per-component drifts, in component order: the midpoints of
@@ -476,20 +470,20 @@ class RateReport:
         prediction rate; (0.0, 0.0) for exact machines.
     """
 
-    def __init__(self, classification, src, prc, escape, drift_intervals, drifts):
-        self.classification = classification
-        self.src = src
-        self.prc = prc
+    def __init__(self, escape, drift_intervals):
         self.escape = escape
         self.drift_intervals = list(drift_intervals)
-        self.drifts = list(drifts)
-        if drift_intervals:
+        self.drifts = [0.5 * (lo + hi) for lo, hi in self.drift_intervals]
+        if self.drifts:
+            self.classification, self.src = "non-exact", None
+            self.prc = math.exp(-min(self.drifts))
             self.prc_interval = (
-                math.exp(-min(hi for _, hi in drift_intervals)),
-                math.exp(-min(lo for lo, _ in drift_intervals)),
+                math.exp(-min(hi for _, hi in self.drift_intervals)),
+                math.exp(-min(lo for lo, _ in self.drift_intervals)),
             )
         else:
-            self.prc_interval = (0.0, 0.0)
+            self.classification, self.src = "exact", escape
+            self.prc, self.prc_interval = 0.0, (0.0, 0.0)
 
     def __repr__(self):
         return (
@@ -503,8 +497,5 @@ def rate_report(m):
     has no closed components, so its escape restriction is the whole pair
     matrix and its escape rate is src."""
     pa, da = deadlock_analysis(m)
-    intervals, drifts, prc = _drifts(pa, da)
-    escape = _surviving_radius(pa, da, RATE_EPS)
-    if drifts:
-        return RateReport("non-exact", None, prc, escape, intervals, drifts)
-    return RateReport("exact", escape, prc, escape, intervals, drifts)
+    intervals = _drifts(pa, da)  # a drift at its step cap raises before the radius runs
+    return RateReport(_surviving_radius(pa, da, RATE_EPS), intervals)

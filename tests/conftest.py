@@ -5,6 +5,8 @@ inline) and session-scoped so the property tests and the acceptance gate
 share one build.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,29 +16,41 @@ from emsync import (
     GenerationError,
     NotStronglyConnectedError,
     classify,
+    parse_machine,
     random_machine,
 )
-from emsync.fixtures import m_1, m_ex, m_gm, m_ne
+
+MACHINES = pathlib.Path(__file__).resolve().parents[1] / "machines"
+
+
+def reference_machine(name):
+    return parse_machine((MACHINES / f"{name}.em").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def machine_dir():
+    """The directory of the reference machine files; tests only read it."""
+    return MACHINES
 
 
 @pytest.fixture(scope="session")
 def ref_ex():
-    return m_ex()
+    return reference_machine("M_EX")
 
 
 @pytest.fixture(scope="session")
 def ref_ne():
-    return m_ne()
+    return reference_machine("M_NE")
 
 
 @pytest.fixture(scope="session")
 def ref_gm():
-    return m_gm()
+    return reference_machine("M_GM")
 
 
 @pytest.fixture(scope="session")
 def ref_1():
-    return m_1()
+    return reference_machine("M_1")
 
 
 def permutation_machine(n, k, seed, tries=50):

@@ -10,21 +10,7 @@ import pytest
 
 from emsync import cli
 from emsync.cli import main
-from emsync.fixtures import M_1_TEXT, M_EX_TEXT, M_GM_TEXT, M_NE_TEXT
-from emsync.machine import parse_machine
-
-
-@pytest.fixture(scope="module")
-def machine_dir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("machines")
-    for name, text in (
-        ("M_EX", M_EX_TEXT),
-        ("M_NE", M_NE_TEXT),
-        ("M_GM", M_GM_TEXT),
-        ("M_1", M_1_TEXT),
-    ):
-        (root / f"{name}.em").write_text(text, encoding="utf-8")
-    return root
+from emsync.machine import parse_machine, random_machine, render_machine
 
 
 def run(capsys, *argv):
@@ -349,10 +335,10 @@ class TestExitCodes:
         assert err.startswith("error:") and "eps" in err
 
     def test_out_of_memory(self, capsys, machine_dir, monkeypatch):
-        def exhaust(args):
+        def exhaust(m):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "cmd_pred_rate", exhaust)
+        monkeypatch.setattr(cli, "rate_report", exhaust)
         code, out, err = run(capsys, "pred-rate", str(machine_dir / "M_EX.em"))
         assert code == 3
         assert out == ""
@@ -384,3 +370,26 @@ class TestDeterminism:
         value = out.split("\t")[1].strip()
         assert len(value.replace("0.", "")) == 9
         assert float(value) == pytest.approx(np.sqrt(0.125), abs=1e-9)
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak_between_calls(self, capsys, tmp_path):
+        path = tmp_path / "random.em"
+        path.write_text(render_machine(random_machine(4, 2, seed=0)), encoding="utf-8")
+        default = run(capsys, "sync-rate", str(path), "--format", "kv")
+        coarse = run(capsys, "sync-rate", str(path), "--eps", "1e-3", "--format", "kv")
+        assert coarse[0] == default[0] == 0
+        assert coarse[1] != default[1]
+        assert run(capsys, "sync-rate", str(path), "--format", "kv") == default
+
+    def test_sweep_then_length_is_a_fresh_call(self, capsys, machine_dir):
+        length = ("simulate", str(machine_dir / "M_NE.em"), "--length", "30", "--runs", "50")
+        cli.build_parser.cache_clear()
+        fresh = run(capsys, *length, "--format", "kv")
+        sweep = run(capsys, "simulate", str(machine_dir / "M_NE.em"), "--sweep", "10:30:10")
+        assert sweep[0] == 0
+        assert run(capsys, *length, "--format", "kv") == fresh
+        assert fresh[0] == 0 and fresh[2] == ""

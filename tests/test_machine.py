@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,11 @@ from emsync import (
     stationary_distribution,
     word_probability,
 )
-from emsync.fixtures import M_EX_TEXT
 from emsync.machine import solve_stationary
+
+M_EX_TEXT = (pathlib.Path(__file__).resolve().parents[1] / "machines" / "M_EX.em").read_text(
+    encoding="utf-8"
+)
 
 
 def symmetric_machine():

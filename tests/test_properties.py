@@ -5,10 +5,12 @@ through the states, each of its edges on a drawn symbol, keeps it strongly
 connected; every other (state, symbol) entry is undefined or a drawn
 target.  Equivalent states are allowed, since the pair layer does not
 depend on minimality.  The draws are derandomised, so every run checks the
-same machines.
+same machines.  The parser is checked on mutations of valid machine texts.
 """
 
 import math
+import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emsync import (
+    EmsyncError,
     EpsilonMachine,
     build_pair_automaton,
     deadlock_analysis,
@@ -23,7 +26,9 @@ from emsync import (
     mergeable_pairs,
     nsyn_bounds,
     pair_matrix,
+    parse_machine,
     rate_report,
+    render_machine,
     spectral_radius,
 )
 from emsync import rates
@@ -117,6 +122,54 @@ def split_symbol_machines(draw):
         name="drawn-split",
         check_equivalent=False,
     )
+
+
+REFERENCE_TEXTS = [
+    path.read_text(encoding="utf-8")
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "machines").glob("*.em"))
+]
+ODD_TOKENS = ["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "0", "-0.5", "1.5", "0x1", "#"]
+
+
+@st.composite
+def mutated_machine_texts(draw):
+    """A valid machine text (a reference file or a drawn machine) after 1
+    to 3 edits: delete, duplicate or replace one token or one line.  A
+    replacement is an odd numeral or a comment mark, a token of the text,
+    so that names repeat, or short arbitrary text.  The edits come from a random
+    stream seeded by the draw, since drawn choices favour the first option,
+    the first line and arbitrary text."""
+    text = draw(st.one_of(st.sampled_from(REFERENCE_TEXTS), machines().map(render_machine)))
+    lines = [line.split() for line in text.splitlines()]
+    words = sorted({word for line in lines for word in line})
+    place = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def replacement():
+        pick = place.random()
+        if pick < 0.4:
+            return place.choice(ODD_TOKENS)
+        return place.choice(words) if pick < 0.8 else draw(st.text(max_size=4))
+
+    for _ in range(place.randint(1, 3)):
+        edit = place.choice(["delete", "duplicate", "replace"])
+        lines = lines or [[]]
+        where = place.randrange(len(lines))
+        line = lines[where]
+        if line and place.random() < 0.5:  # edit one token, often an edge's probability
+            i = place.choice([len(line) - 1, place.randrange(len(line))])
+            if edit == "delete":
+                del line[i]
+            elif edit == "duplicate":
+                line.insert(i, line[i])
+            else:
+                line[i] = replacement()
+        elif edit == "delete":
+            del lines[where]
+        elif edit == "duplicate":
+            lines.insert(place.randrange(len(lines) + 1), list(line))
+        else:
+            lines[where] = [replacement() for _ in range(place.randint(0, 6))]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
 def reference_pair_arrays(m):
@@ -351,3 +404,13 @@ def test_restrict_matches_entry_loop(m, random):
         assert np.array_equal(restrict(targets, nodes), expected)
         for block in strongly_connected_components(targets):
             assert np.array_equal(restrict(targets, block), reference_restrict(targets, block))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(mutated_machine_texts())
+def test_parser_mutations_raise_only_package_errors(text):
+    try:
+        m = parse_machine(text)
+    except EmsyncError:
+        return
+    assert isinstance(m, EpsilonMachine)

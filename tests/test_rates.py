@@ -126,27 +126,36 @@ def chain_matrix_calls(monkeypatch):
 
 class TestPairMatrix:
     def test_ex_totals(self, ref_ex):
-        pm = pair_matrix(build_pair_automaton(ref_ex))
+        pa = build_pair_automaton(ref_ex)
+        pm = pair_matrix(pa)
         assert np.allclose(pm.total, [[0.0, 0.5], [0.25, 0.0]], atol=1e-15)
-        # symbol a merges both states, so its layer is empty
-        assert not pm.per_symbol[0].any()
-        assert np.allclose(pm.per_symbol[1], pm.total, atol=1e-15)
+        # symbol a merges both states, so it has no pair move
+        assert (pa.delta2[:, 0] == -1).all() and not pa.weight[:, 0].any()
+        # symbol b carries every entry of the total
+        assert pa.delta2[:, 1].tolist() == [1, 0]
+        assert np.allclose(pa.weight[:, 1], [pm.total[0, 1], pm.total[1, 0]], atol=1e-15)
 
     def test_ne_totals(self, ref_ne):
-        pm = pair_matrix(build_pair_automaton(ref_ne))
+        pa = build_pair_automaton(ref_ne)
+        pm = pair_matrix(pa)
         assert np.allclose(pm.total, [[0.7, 0.3], [0.6, 0.4]], atol=1e-15)
-        assert np.allclose(pm.per_symbol[0], [[0.7, 0.0], [0.0, 0.4]], atol=1e-15)
-        assert np.allclose(pm.per_symbol[1], [[0.0, 0.3], [0.6, 0.0]], atol=1e-15)
+        assert pa.delta2[:, 0].tolist() == [0, 1]
+        assert np.allclose(pa.weight[:, 0], [0.7, 0.4], atol=1e-15)
+        assert pa.delta2[:, 1].tolist() == [1, 0]
+        assert np.allclose(pa.weight[:, 1], [0.3, 0.6], atol=1e-15)
 
     def test_one_state_machine_is_empty(self, ref_1):
-        pm = pair_matrix(build_pair_automaton(ref_1))
-        assert pm.total.shape == (0, 0)
-        assert pm.per_symbol.shape == (1, 0, 0)
+        pa = build_pair_automaton(ref_1)
+        assert pair_matrix(pa).total.shape == (0, 0)
+        assert pa.delta2.shape == pa.weight.shape == (0, 1)
 
     def test_total_is_symbol_sum(self):
         m = random_machine(4, 3, seed=5)
-        pm = pair_matrix(build_pair_automaton(m))
-        assert np.allclose(pm.per_symbol.sum(axis=0), pm.total, atol=1e-15)
+        pa = build_pair_automaton(m)
+        expected = np.zeros((pa.count, pa.count))
+        for s, j in zip(*np.nonzero(pa.delta2 >= 0)):
+            expected[s, pa.delta2[s, j]] += pa.weight[s, j]
+        assert np.allclose(expected, pair_matrix(pa).total, atol=1e-15)
 
     def test_rows_substochastic(self, nonexact_corpus):
         for m in nonexact_corpus[:25]:
