@@ -80,39 +80,62 @@ def _step(vals, cols, z):
     return (vals * z[cols]).sum(axis=0)
 
 
-def _power_steps(vals, cols, d, x, windows=None):
+def _power_steps(vals, cols, d, x):
     """Bracketed power iteration from positive x, in windows of d steps.
 
     For positive x the quotient (A^d x)_i / x_i brackets rho(A)^d between
     its extremes (d = period of the support graph; stepping in windows of d
     keeps the bracket contracting when A^d splits into primitive diagonal
-    blocks).  Yields one certified bracket per window; after `windows`
-    windows (never, when None) returns the current vector.
+    blocks).  A window takes one ratio pass; its d - 1 inner normalisations
+    add up to one log shift, read only when d > 1.  Yields, per window, the
+    certified bracket and the window's last vector scaled to maximum 1.
     """
-    for _ in itertools.repeat(None) if windows is None else range(windows):
-        z = x
+    while True:
+        z = _step(vals, cols, x)
         shift = 0.0
-        for _ in range(d):
-            z = _step(vals, cols, z)
+        for _ in range(d - 1):
             s = float(z.max())
             shift += math.log(s)
-            z = z / s
-        log_ratio = (shift + np.log(z) - np.log(x)) / d
-        yield math.exp(float(log_ratio.min())), math.exp(float(log_ratio.max()))
-        x = z
-    return x
+            z = _step(vals, cols, z / s)
+        ratio = z / x
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if d > 1:
+            scale = math.exp(shift / d)
+            lo, hi = scale * lo ** (1.0 / d), scale * hi ** (1.0 / d)
+        x = z / float(z.max())
+        yield lo, hi, x
+
+
+def _steps_to_close(widths, eps):
+    """Predicted number of further steps before a bracket narrows to eps,
+    from its widths after each step so far, all above eps: the geometric
+    contraction per step over the later half of the steps, extrapolated;
+    inf when the bracket did not narrow over that half.  Before 8 steps
+    there is no prediction, and the result is 0.
+    """
+    t = len(widths)
+    if t < 8 or not widths[t // 2 - 1] < math.inf:
+        return 0.0
+    rate = (widths[-1] / widths[t // 2 - 1]) ** (1.0 / (t - t // 2))
+    return math.inf if rate >= 1.0 else math.log(eps / widths[-1]) / math.log(rate)
 
 
 def _noda_steps(vals, cols, x):
     """Noda iteration from positive x (Numer. Math. 17, 1971).
 
     Each vector's Collatz-Wielandt extremes min/max (Ax)_i / x_i bracket
-    rho(A); the upper one, sigma, shifts the next solve (sigma I - A) y = x.
-    For irreducible A and sigma > rho that inverse is positive, so x stays
-    positive and every bracket is certified.  The dense A is built before
-    the first solve, from the tables.  Yields one bracket per vector and
-    returns the vector of the narrowest bracket as soon as a solve is
-    singular, leaves the positive cone, or a bracket fails to narrow.
+    rho(A); the upper one, sigma, shifts the next solve.  The solve runs on
+    the diagonally scaled block: (sigma I - D^-1 A D) y = 1 with
+    D = diag(x), then x <- x * y / max.  In exact arithmetic that is the
+    solve (sigma I - A) y = x; the scaled matrix is a diagonally dominant
+    M-matrix whose solution tends to a constant vector, so a solve accurate
+    in norm is accurate entry by entry even when x spans many orders of
+    magnitude (Alfa, Xue & Ye, Math. Comp. 71, 2002).  For irreducible A
+    and sigma > rho the inverse is positive, so x stays positive and every
+    bracket is certified.  The dense A is built before the first solve,
+    from the tables.  Yields one bracket per vector and returns the vector
+    of the narrowest bracket as soon as a solve is singular, leaves the
+    positive cone, or a bracket fails to narrow.
     """
     A = None
     best, best_width = x, math.inf
@@ -125,30 +148,43 @@ def _noda_steps(vals, cols, x):
         yield lo, hi
         if A is None:
             A = chain_matrix(cols.T, vals.T)
-        shifted = -A
+        shifted = A * x  # sigma I - D^-1 A D, built in place
+        shifted /= -x[:, None]
         shifted.flat[:: A.shape[0] + 1] += hi
         try:
-            y = np.linalg.solve(shifted, x)
+            y = np.linalg.solve(shifted, np.ones(A.shape[0]))
         except np.linalg.LinAlgError:
             return best
         if not (np.isfinite(y).all() and y.min() > 0):
             return best
+        y *= x
         x = y / y.max()
 
 
-def _radius_steps(vals, cols, d):
+def _radius_steps(vals, cols, d, eps):
     """Brackets of the certified iteration on an irreducible block.
 
-    Power iteration runs b windows on the b x b block (with dense steps,
-    the work of one factorisation); a block still open then hands its
-    vector to Noda iteration, whose steps each cost a factorisation but
-    converge superlinearly whatever the gap |l2/l1|.  Should Noda stall,
+    Power iteration has a budget of b windows on the b x b block (with
+    dense steps, the work of one factorisation).  It hands its vector to
+    Noda iteration, whose steps each cost a factorisation but converge
+    superlinearly whatever the gap |l2/l1|, once the budget is spent or as
+    soon as the running bracket is predicted to need more than twice the
+    windows left to narrow to eps (`_steps_to_close`).  Should Noda stall,
     power iteration resumes from its best vector.
     """
     b = cols.shape[1]
-    x = yield from _power_steps(vals, cols, d, np.full(b, 1.0 / b), windows=b)
+    lo, hi, widths = 0.0, math.inf, []
+    for step_lo, step_hi, x in _power_steps(vals, cols, d, np.full(b, 1.0 / b)):
+        yield step_lo, step_hi
+        lo, hi = max(lo, step_lo), min(hi, step_hi)
+        widths.append(hi - lo)
+        # twice the windows left: no block of the benchmark ladders or the
+        # acceptance corpora that closes within b windows hands off early
+        if len(widths) == b or _steps_to_close(widths, eps) > 2 * (b - len(widths)):
+            break
     x = yield from _noda_steps(vals, cols, x)
-    yield from _power_steps(vals, cols, d, x)
+    for step_lo, step_hi, _ in _power_steps(vals, cols, d, x):
+        yield step_lo, step_hi
 
 
 def _block_radius(vals, cols, d, eps, max_iter):
@@ -159,7 +195,7 @@ def _block_radius(vals, cols, d, eps, max_iter):
     window and every Noda step counts against max_iter.
     """
     lo, hi = 0.0, math.inf
-    for step_lo, step_hi in itertools.islice(_radius_steps(vals, cols, d), max_iter):
+    for step_lo, step_hi in itertools.islice(_radius_steps(vals, cols, d, eps), max_iter):
         lo, hi = max(lo, step_lo), min(hi, step_hi)
         if hi - lo <= eps:
             return 0.5 * (lo + hi)
@@ -366,6 +402,11 @@ def _drift_bracket(rows, pa):
     shrinks to 0.  A component of at most DENSE_SEED_PAIRS pairs first
     takes h from one dense Poisson solve (I - P)h + E 1 = g, h_0 = 0,
     doubled for the lazy chain; its bracket then closes in about one step.
+    A larger component starts from h = 0; one of at most 2 DENSE_SEED_PAIRS
+    pairs switches once to that seed as soon as its bracket is predicted
+    to need more than c further steps (`_steps_to_close`), up to that bound
+    about the cost of the solve.  A component above it never builds a
+    c x c matrix.
 
     Iteration stops once max r - min r <= DRIFT_EPS.  Each end is then
     widened by omega = 2 (k + 5) u (max_i G_i + (1 + delta) |h|) +
@@ -390,25 +431,42 @@ def _drift_bracket(rows, pa):
     spread = float((vals * (np.abs(log_ratio) + 1.0)).sum(axis=0).max())
     delta = float(np.abs(1.0 - vals.sum(axis=0)).max()) + (k + 1) * _UNIT_ROUNDOFF
     h = np.zeros(c)
+    seed = c <= 2 * DENSE_SEED_PAIRS  # a dense seed is still allowed
     if c <= DENSE_SEED_PAIRS:
-        A = np.eye(c) - chain_matrix(cols.T, vals.T)
-        A[:, 0] = 1.0  # column 0 multiplies h_0 = 0; it now carries E
-        try:
-            x = np.linalg.solve(A, g)
-        except np.linalg.LinAlgError:  # singular in floating point: iterate from h = 0
-            x = h
-        if np.isfinite(x).all():
-            h = 2.0 * x
-            h[0] = 0.0
-    for _ in range(DRIFT_MAX_STEPS):
+        h, seed = _poisson_seed(vals, cols, g, h), False
+    widths = []
+    while True:
         r = g + 0.5 * (_step(vals, cols, h) - h)
         lo, hi = float(r.min()), float(r.max())
-        size = float(np.abs(h).max())
-        omega = 2 * (k + 5) * _UNIT_ROUNDOFF * (spread + (1.0 + delta) * size) + 0.5 * delta * size
-        if hi - lo <= DRIFT_EPS:
-            return lo - omega, hi + omega
-        h = h + (r - r[0])
-    raise ConvergenceError("drift iteration hit the step cap", bracket=(lo - omega, hi + omega))
+        widths.append(hi - lo)
+        if hi - lo <= DRIFT_EPS or len(widths) == DRIFT_MAX_STEPS:
+            break
+        if seed and _steps_to_close(widths, DRIFT_EPS) > c:
+            h, seed = _poisson_seed(vals, cols, g, h), False
+        else:
+            h = h + (r - r[0])
+    size = float(np.abs(h).max())
+    omega = 2 * (k + 5) * _UNIT_ROUNDOFF * (spread + (1.0 + delta) * size) + 0.5 * delta * size
+    if hi - lo > DRIFT_EPS:
+        raise ConvergenceError("drift iteration hit the step cap", bracket=(lo - omega, hi + omega))
+    return lo - omega, hi + omega
+
+
+def _poisson_seed(vals, cols, g, h):
+    """h from one dense Poisson solve (I - P)h + E 1 = g with h_0 = 0,
+    doubled for the lazy chain, for the component chain P in the (k, c)
+    tables; the given h when the solve is singular or not finite."""
+    A = np.eye(vals.shape[1]) - chain_matrix(cols.T, vals.T)
+    A[:, 0] = 1.0  # column 0 multiplies h_0 = 0; it now carries E
+    try:
+        x = np.linalg.solve(A, g)
+    except np.linalg.LinAlgError:  # singular in floating point: keep iterating
+        return h
+    if not np.isfinite(x).all():
+        return h
+    x *= 2.0
+    x[0] = 0.0
+    return x
 
 
 def _drifts(pa, da):

@@ -5,7 +5,8 @@ through the states, each of its edges on a drawn symbol, keeps it strongly
 connected; every other (state, symbol) entry is undefined or a drawn
 target.  Equivalent states are allowed, since the pair layer does not
 depend on minimality.  The draws are derandomised, so every run checks the
-same machines.  The parser is checked on mutations of valid machine texts.
+same machines.  The parser is checked on mutations of valid machine texts,
+and the spectral radius also on drawn reducible and periodic matrices.
 """
 
 import math
@@ -124,6 +125,37 @@ def split_symbol_machines(draw):
     )
 
 
+@st.composite
+def block_triangular_matrices(draw):
+    """Nonnegative matrices whose rows and columns are a drawn permutation
+    of a block upper triangular form: 1 to 3 diagonal blocks, each after
+    the first entered by one drawn entry from an earlier block, so that the
+    matrix is reducible when it has two or more.  A block of p * q rows (p
+    and q from 1 to 3) holds the cycle r -> r + 1 and drawn entries only
+    from row r to the columns t with t - r = 1 mod p, so its period is a
+    multiple of p.  Entries are tenths from 0 to 0.9."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        size = p * q
+        B = np.zeros((size, size))
+        for r in range(size):
+            for t in range(size):
+                if (t - r - 1) % p == 0:
+                    B[r, t] = draw(st.integers(1 if t == (r + 1) % size else 0, 9))
+        blocks.append(B)
+    start = np.cumsum([0] + [len(B) for B in blocks])
+    n = int(start[-1])
+    A = np.zeros((n, n))
+    for b, B in enumerate(blocks):
+        A[start[b] : start[b + 1], start[b] : start[b + 1]] = B
+        if b:
+            source = draw(st.integers(0, start[b] - 1))
+            A[source, draw(st.integers(start[b], start[b + 1] - 1))] = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    return A[np.ix_(order, order)] / 10.0
+
+
 REFERENCE_TEXTS = [
     path.read_text(encoding="utf-8")
     for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "machines").glob("*.em"))
@@ -223,8 +255,14 @@ def adjacency_matrix(targets):
 
 
 def reachability(targets):
-    """Reflexive transitive closure of a table's graph, by boolean squaring."""
-    reach = (adjacency_matrix(targets) + np.eye(len(targets), dtype=np.int64)) > 0
+    """Reflexive transitive closure of a table's graph."""
+    return closure(adjacency_matrix(targets))
+
+
+def closure(adjacency):
+    """Reflexive transitive closure of a 0/1 adjacency matrix, by boolean
+    squaring."""
+    reach = (adjacency + np.eye(len(adjacency), dtype=np.int64)) > 0
     while True:
         wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
         if np.array_equal(wider, reach):
@@ -254,6 +292,20 @@ def reference_restrict(targets, nodes):
             if t >= 0 and t in where:
                 out[i, j] = where[t]
     return out
+
+
+def reference_radius(A):
+    """max |eigvals(A)|, taken over the diagonal blocks of the mutual
+    reachability classes of A's support, whose eigenvalues are those of A.
+    The Perron root of each block is a simple eigenvalue; eigvals of the
+    whole matrix loses about the square root of the unit roundoff where a
+    class leads to another of the same radius (a Jordan block)."""
+    mutual = closure((A > 0).astype(np.int64))
+    mutual &= mutual.T
+    return max(
+        (float(np.abs(np.linalg.eigvals(A[np.ix_(row, row)])).max()) for row in np.unique(mutual, axis=0)),
+        default=0.0,
+    )
 
 
 def reference_edge_stats(m, component, rho):
@@ -364,6 +416,26 @@ def test_radius_of_tables_is_radius_of_chain_matrix(m):
     for subset in (np.arange(pa.count), rows):
         t, w = pa.moves_within(subset), pa.weight[subset]
         assert spectral_radius(w, 1e-9, columns=t) == spectral_radius(chain_matrix(t, w), 1e-9)
+
+
+def total_pair_matrix(m):
+    return pair_matrix(build_pair_automaton(m)).total
+
+
+@pair_layer_settings
+@given(
+    st.one_of(
+        machines().map(total_pair_matrix),
+        permutation_machines().map(total_pair_matrix),
+        block_triangular_matrices(),
+    ),
+    st.sampled_from([1e-6, 1e-9, 1e-12]),
+)
+def test_radius_lies_within_half_eps_of_eigenvalues(A, eps):
+    # eigensolver allowance 1e-12: eigvals is backward stable, so the simple
+    # Perron root of a block of at most 42 rows with entries at most 1 is
+    # off by a few unit roundoffs times its condition number
+    assert abs(spectral_radius(A, eps) - reference_radius(A)) <= eps / 2 + 1e-12
 
 
 @pair_layer_settings

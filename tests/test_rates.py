@@ -111,6 +111,21 @@ def solve_calls(monkeypatch):
 
 
 @pytest.fixture
+def step_calls(monkeypatch):
+    """Row counts of the power steps of the rates module: one per power
+    window of period 1 and one per Noda step."""
+    calls = []
+    step = rates._step
+
+    def counting(vals, cols, z):
+        calls.append(z.size)
+        return step(vals, cols, z)
+
+    monkeypatch.setattr(rates, "_step", counting)
+    return calls
+
+
+@pytest.fixture
 def chain_matrix_calls(monkeypatch):
     """Row counts of the dense blocks the rates module builds."""
     calls = []
@@ -321,19 +336,26 @@ class TestSyncRate:
         with pytest.raises(PreconditionError, match=r"not exact.*\(0, 1\)"):
             sync_rate(ref_ne)
 
-    @pytest.mark.parametrize("n", [17, 24, 32])
-    def test_cerny_machines_match_eigenvalues(self, n):
+    @pytest.mark.parametrize("n", [17, 24, 32, 40])
+    def test_cerny_machines_match_eigenvalues(self, n, solve_calls, step_calls):
         m = cerny_machine(n)
         T = pair_matrix(build_pair_automaton(m)).total
         assert sync_rate(m) == pytest.approx(dense_radius(T), abs=1e-9)
+        # the one n(n-1)-pair block closes in Noda iteration, in fewer steps
+        # than its budget of power windows: no stall hands it back to them
+        assert solve_calls and set(solve_calls) == {n * (n - 1)}
+        assert len(step_calls) < n * (n - 1)
 
     def test_power_phase_builds_no_dense_block(self, chain_matrix_calls):
         sync_rate(cycle_machine(40, 2, seed=1))
         assert chain_matrix_calls == []
 
-    def test_noda_builds_one_dense_block(self, chain_matrix_calls):
+    def test_noda_builds_one_dense_block(self, chain_matrix_calls, step_calls):
         sync_rate(cerny_machine(17))
         assert chain_matrix_calls == [17 * 16]
+        # power iteration alone would need about 600 windows here, so the
+        # block hands off before its budget of 272 windows is spent
+        assert len(step_calls) < 17 * 16
 
     def test_slow_gap_random_machine_matches_eigenvalues(self):
         m = random_machine(10, 2, density=0.9, seed=10)
@@ -531,6 +553,21 @@ class TestDriftBracket:
         monkeypatch.setattr(rates, "_step", counting)
         rates._drifts(*deadlock_analysis(mix_machine))
         assert solve_calls == [4] and steps == [4]
+
+    def test_slow_component_switches_once_to_dense_seed(self, solve_calls, monkeypatch):
+        # one closed component of 30 pairs, 225 steps from h = 0
+        m = permutation_cycle_machine(6, seed=0)
+        pa, da = deadlock_analysis(m)
+        (rows,) = da.component_rows
+        expected = edge_machine_stats(da.components[0], pa).expectation
+        solve_calls.clear()
+        monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 15)  # 30 pairs <= 2 * 15
+        lo, hi = rates._drift_bracket(rows, pa)
+        assert solve_calls == [30] and lo <= expected <= hi
+        solve_calls.clear()
+        monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 14)  # above the bound: no dense seed
+        lo, hi = rates._drift_bracket(rows, pa)
+        assert solve_calls == [] and lo <= expected <= hi
 
     def test_step_cap_raises_with_certified_bracket(self, mix_machine, monkeypatch):
         monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 0)
