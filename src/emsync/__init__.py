@@ -61,7 +61,6 @@ from .pairs import (
 from .rates import (
     EdgeMachineStats,
     NsynBounds,
-    PairMatrix,
     RateReport,
     edge_machine_stats,
     escape_rate,
@@ -91,7 +90,6 @@ __all__ = [
     "deadlock_components",
     "deadlock_analysis",
     "classify",
-    "PairMatrix",
     "NsynBounds",
     "EdgeMachineStats",
     "RateReport",

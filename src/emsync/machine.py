@@ -420,6 +420,8 @@ def random_machine(n, k, density=1.0, seed=0, max_tries=10000):
         raise InputError("need n >= 1 and k >= 1")
     if not (0.0 < density <= 1.0):
         raise InputError("density must lie in (0, 1]")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     states = [str(i) for i in range(n)]
     symbols = _default_symbols(k)

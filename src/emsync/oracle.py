@@ -395,6 +395,8 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
         raise InputError("runs must be at least 1")
     if length < 0:
         raise InputError("length must be nonnegative")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     record_at = sorted(set(record_at or []))
     if record_at and (record_at[0] < 0 or record_at[-1] > length):
         raise InputError("checkpoints must lie within the simulated length")

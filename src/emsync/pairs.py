@@ -67,35 +67,56 @@ def build_pair_automaton(m):
 
 
 class DeadlockAnalysis:
-    """Split of the pair set into mergeable and deadlock pairs.
+    """Split of the pair set into mergeable and deadlock pairs, and the
+    closed strongly connected components of the deadlock part.
 
+    pa : the PairAutomaton analysed.
     mask : (m,) bool row mask, True on mergeable pairs.
-    component_rows : rows of each closed strongly connected deadlock
-        component, or None until deadlock_components has run.
-    mergeable, deadlock : frozensets of (p, q) index tuples, derived from
-        the mask on first use.
-    components : component_rows as tuples of (p, q) pairs, or None.
+    component_rows : rows of each closed deadlock component, ordered by
+        their smallest member, members sorted.
+    components : component_rows as tuples of (p, q) pairs.
+    mergeable, deadlock : frozensets of the (p, q) pairs on either side of
+        the mask.
+    All but pa and mask are computed on first use.
     """
 
-    def __init__(self, pairs, mask):
-        self.pairs = pairs
+    def __init__(self, pa, mask):
+        self.pa = pa
         self.mask = mask
-        self.component_rows = None
-        self.components = None
+
+    @cached_property
+    def component_rows(self):
+        """Deadlock pairs are closed under defined moves, so every pair
+        transition out of a deadlock pair stays in the deadlock set;
+        components that still have an edge to a different component are
+        transient and dropped."""
+        dead_rows = np.flatnonzero(~self.mask)
+        moves = self.pa.moves_within(dead_rows)
+        comps = strongly_connected_components(moves)
+        label = np.empty(dead_rows.size, dtype=np.int64)
+        for c, comp in enumerate(comps):
+            label[comp] = c
+        leaves = ((moves >= 0) & (label[moves] != label[:, None])).any(axis=1)
+        rows = [dead_rows[comp] for comp in comps if not leaves[comp].any()]
+        rows.sort(key=lambda comp_rows: comp_rows[0])
+        return rows
+
+    @cached_property
+    def components(self):
+        return [tuple(map(tuple, self.pa.pairs[r].tolist())) for r in self.component_rows]
 
     @cached_property
     def mergeable(self):
-        return frozenset(map(tuple, self.pairs[self.mask].tolist()))
+        return frozenset(map(tuple, self.pa.pairs[self.mask].tolist()))
 
     @cached_property
     def deadlock(self):
-        return frozenset(map(tuple, self.pairs[~self.mask].tolist()))
+        return frozenset(map(tuple, self.pa.pairs[~self.mask].tolist()))
 
     def __repr__(self):
-        ncomp = "?" if self.components is None else len(self.components)
         return (
             f"DeadlockAnalysis(mergeable={self.mask.sum()},"
-            f" deadlock={(~self.mask).sum()}, components={ncomp})"
+            f" deadlock={(~self.mask).sum()}, components={len(self.component_rows)})"
         )
 
 
@@ -123,36 +144,18 @@ def mergeable_pairs(pa):
             if not merged[r]:
                 merged[r] = True
                 stack.append(r)
-    return DeadlockAnalysis(pa.pairs, np.array(merged, dtype=bool))
+    return DeadlockAnalysis(pa, np.array(merged, dtype=bool))
 
 
 def deadlock_components(da, pa):
-    """Closed strongly connected components of the deadlock subgraph.
-
-    Deadlock pairs are closed under defined moves, so every pair transition
-    out of a deadlock pair stays in the deadlock set; components that still
-    have an edge to a different component are transient and dropped.  The
-    components are stored on the analysis as row arrays (component_rows)
-    and as tuples of (p, q) pairs (components, returned), ordered by their
-    smallest member, members sorted.
-    """
-    dead_rows = np.flatnonzero(~da.mask)
-    moves = pa.moves_within(dead_rows)
-    comps = strongly_connected_components(moves)
-    label = np.empty(dead_rows.size, dtype=np.int64)
-    for c, comp in enumerate(comps):
-        label[comp] = c
-    leaves = ((moves >= 0) & (label[moves] != label[:, None])).any(axis=1)
-    rows = [dead_rows[comp] for comp in comps if not leaves[comp].any()]
-    rows.sort(key=lambda comp_rows: comp_rows[0])
-    da.component_rows = rows
-    da.components = [tuple(map(tuple, pa.pairs[r].tolist())) for r in rows]
+    """Closed strongly connected components of the deadlock subgraph of
+    `pa`, analysed in `da`, as tuples of (p, q) pairs: `da.components`."""
     return da.components
 
 
 def deadlock_analysis(m):
     """Full pair-space pipeline; returns (PairAutomaton, DeadlockAnalysis)
-    with components populated."""
+    with the closed components computed."""
     pa = build_pair_automaton(m)
     da = mergeable_pairs(pa)
     deadlock_components(da, pa)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError, PreconditionError
 from .graphs import component_period, is_strongly_connected, restrict, strongly_connected_components
 from .machine import chain_matrix, solve_stationary, stationary_distribution
-from .pairs import build_pair_automaton, deadlock_analysis, mergeable_pairs
+from .pairs import build_pair_automaton, deadlock_analysis
 
 RATE_EPS = 1e-9  # absolute accuracy of sync_rate, escape_rate and rate_report
 DRIFT_EPS = 1e-12  # raw width at which a drift bracket stops
@@ -27,21 +27,13 @@ DENSE_SEED_PAIRS = 256  # largest component whose drift iteration starts from a 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
-class PairMatrix:
-    """Dense view of the pair operator, for small machines.
-
-    total : (m, m) array; entry [s, t] sums the weights of the pair moves
-        s -> t over the symbols.
-    """
-
-    def __init__(self, pa):
-        total = chain_matrix(pa.delta2, pa.weight)
-        total.flags.writeable = False
-        self.total = total
-
-
 def pair_matrix(pa):
-    return PairMatrix(pa)
+    """Dense view of the pair operator, for small machines: the read-only
+    (m, m) array whose entry [s, t] sums the weights of the pair moves
+    s -> t over the symbols."""
+    total = chain_matrix(pa.delta2, pa.weight)
+    total.flags.writeable = False
+    return total
 
 
 def _canonical_tables(vals, cols):
@@ -256,14 +248,13 @@ def sync_rate(m, eps=RATE_EPS):
     precondition error naming a never-merging pair when the machine is not
     exact.
     """
-    pa = build_pair_automaton(m)
-    da = mergeable_pairs(pa)
+    pa, da = deadlock_analysis(m)
     if not da.mask.all():
         p, q = pa.pair(np.argmin(da.mask))
         raise PreconditionError(
             f"machine is not exact: state pair ({m.states[p]}, {m.states[q]}) never merges"
         )
-    return _surviving_radius(pa, da, eps)
+    return _surviving_radius(da, eps)
 
 
 class NsynBounds:
@@ -475,10 +466,11 @@ def _drifts(pa, da):
     return [_drift_bracket(rows, pa) for rows in da.component_rows]
 
 
-def _surviving_radius(pa, da, eps):
+def _surviving_radius(da, eps):
     """Spectral radius of the summed pair matrix restricted to the pairs
     outside every closed deadlock component (every pair when there is
     none).  Transient deadlock pairs stay in the restriction."""
+    pa = da.pa
     rows = np.arange(pa.count)
     if da.component_rows:
         rows = np.delete(rows, np.concatenate(da.component_rows))
@@ -507,8 +499,7 @@ def escape_rate(m):
     there has not yet entered a component and still counts as surviving.
     Computed to the same accuracy (RATE_EPS) as `rate_report(m).escape`.
     """
-    pa, da = deadlock_analysis(m)
-    return _surviving_radius(pa, da, RATE_EPS)
+    return _surviving_radius(deadlock_analysis(m)[1], RATE_EPS)
 
 
 class RateReport:
@@ -556,4 +547,4 @@ def rate_report(m):
     matrix and its escape rate is src."""
     pa, da = deadlock_analysis(m)
     intervals = _drifts(pa, da)  # a drift at its step cap raises before the radius runs
-    return RateReport(_surviving_radius(pa, da, RATE_EPS), intervals)
+    return RateReport(_surviving_radius(da, RATE_EPS), intervals)

@@ -1,26 +1,25 @@
 """Shared fixtures: reference machines and seeded random corpora.
 
-Corpora are deterministic (fixed seed bases, rejection rules documented
-inline) and session-scoped so the property tests and the acceptance gate
-share one build.
+The corpora are the acceptance-corpus recipes of `perfbench.corpus` (fixed
+seed bases, rejection rules documented there), so the suite and the
+benchmark draw the same machines.  They are session-scoped so the property
+tests and the acceptance gate share one build.
 """
 
 import pathlib
+import sys
 
-import numpy as np
 import pytest
 
-from emsync import (
-    EpsilonMachine,
-    EquivalentStatesError,
-    GenerationError,
-    NotStronglyConnectedError,
-    classify,
-    parse_machine,
-    random_machine,
-)
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
-MACHINES = pathlib.Path(__file__).resolve().parents[1] / "machines"
+import emsync  # noqa: E402
+from emsync import EpsilonMachine, parse_machine  # noqa: E402
+from perfbench import corpus  # noqa: E402
+
+MACHINES = ROOT / "machines"
 
 
 def reference_machine(name):
@@ -51,102 +50,6 @@ def ref_gm():
 @pytest.fixture(scope="session")
 def ref_1():
     return reference_machine("M_1")
-
-
-def permutation_machine(n, k, seed, tries=50):
-    """Machine whose every symbol permutes the state set.
-
-    Permutation symbols never shrink a set image, so every state pair is a
-    deadlock pair and the machine is non-exact by construction.  Emission
-    probabilities are flat Dirichlet.  Returns None when no strongly
-    connected, non-equivalent draw appears within `tries`.
-    """
-    rng = np.random.default_rng(seed)
-    states = [str(i) for i in range(n)]
-    symbols = [chr(ord("a") + j) for j in range(k)]
-    for _ in range(tries):
-        perms = [rng.permutation(n) for _ in range(k)]
-        edges = []
-        for i in range(n):
-            weights = rng.dirichlet(np.ones(k))
-            for j in range(k):
-                edges.append((states[i], symbols[j], states[int(perms[j][i])], float(weights[j])))
-        try:
-            return EpsilonMachine(states, symbols, edges, name=f"perm-{seed}")
-        except (NotStronglyConnectedError, EquivalentStatesError):
-            continue
-    return None
-
-
-def build_exact_corpus(count, max_states, max_symbols, seed_base):
-    """Seeded random exact machines from generic sampling."""
-    corpus = []
-    seed = seed_base
-    while len(corpus) < count:
-        seed += 1
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, max_states + 1))
-        k = int(rng.integers(2, max_symbols + 1))
-        density = float(rng.uniform(0.5, 1.0))
-        try:
-            m = random_machine(n, k, density=density, seed=seed)
-        except GenerationError:
-            continue
-        if classify(m) == "exact":
-            corpus.append(m)
-    return corpus
-
-
-def build_nonexact_corpus(count, max_states, seed_base):
-    """Seeded random non-exact machines.
-
-    Generic sampling yields non-exact machines too rarely (about 1 in 80)
-    to fill a large corpus, so most entries use permutation symbols, with a
-    slice of generic rejection-sampled machines mixed in for shape
-    diversity.
-    """
-    generic_share = count // 10
-    corpus = []
-    seed = seed_base
-    while len(corpus) < count - generic_share:
-        seed += 1
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, max_states + 1))
-        k = int(rng.integers(2, 4))
-        m = permutation_machine(n, k, seed)
-        if m is not None:
-            corpus.append(m)
-    seed = seed_base + 10**6
-    while len(corpus) < count:
-        seed += 1
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, max_states + 1))
-        k = int(rng.integers(2, 4))
-        density = float(rng.uniform(0.5, 1.0))
-        try:
-            m = random_machine(n, k, density=density, seed=seed)
-        except GenerationError:
-            continue
-        if classify(m) == "non-exact":
-            corpus.append(m)
-    return corpus
-
-
-def build_mixed_corpus(count, max_states, max_symbols, seed_base):
-    """Seeded random machines of any classification."""
-    corpus = []
-    seed = seed_base
-    while len(corpus) < count:
-        seed += 1
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, max_states + 1))
-        k = int(rng.integers(2, max_symbols + 1))
-        density = float(rng.uniform(0.5, 1.0))
-        try:
-            corpus.append(random_machine(n, k, density=density, seed=seed))
-        except GenerationError:
-            continue
-    return corpus
 
 
 @pytest.fixture(scope="session")
@@ -210,16 +113,18 @@ def trans_machine():
 @pytest.fixture(scope="session")
 def exact_corpus():
     """100 exact machines, n <= 5, |symbols| <= 3 (sandwich criteria)."""
-    return build_exact_corpus(100, 5, 3, seed_base=1000)
+    return list(corpus.recipe(emsync, "exact"))
 
 
 @pytest.fixture(scope="session")
 def nonexact_corpus():
-    """1000 non-exact machines, n <= 6 (drift positivity criterion)."""
-    return build_nonexact_corpus(1000, 6, seed_base=2000)
+    """1000 non-exact machines, n <= 6 (drift positivity criterion): the
+    benchmark's non-exact recipe at ten times its size."""
+    _, (max_states,), seed_base = corpus.RECIPES["non-exact"]
+    return list(corpus.nonexact_corpus(emsync, 1000, max_states, seed_base))
 
 
 @pytest.fixture(scope="session")
 def mixed_corpus():
     """50 machines, n <= 4, |symbols| <= 3 (belief sandwich criterion)."""
-    return build_mixed_corpus(50, 4, 3, seed_base=3000)
+    return list(corpus.recipe(emsync, "mixed"))

@@ -223,7 +223,7 @@ def test_criterion_08_classification_cross_checks(
         exact = classify(m) == "exact"
         if exact != (reset_threshold(m) is not None):
             ok = False
-        T = pair_matrix(build_pair_automaton(m)).total
+        T = pair_matrix(build_pair_automaton(m))
         rho = spectral_radius(T) if T.size else 0.0
         if (not exact) != (abs(rho - 1.0) <= 1e-6):
             ok = False

@@ -288,6 +288,19 @@ class TestExitCodes:
         assert code == 2
         assert "--length or --sweep" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", "--states", "3", "--symbols", "2"], ["simulate", "M_EX.em", "--length", "3"]],
+        ids=["gen", "simulate"],
+    )
+    def test_negative_seed(self, capsys, monkeypatch, machine_dir, argv):
+        monkeypatch.chdir(machine_dir)
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+        assert len(err.splitlines()) == 1
+
     def test_simulate_length_with_sweep_refused(self, capsys, machine_dir):
         argv = ("simulate", str(machine_dir / "M_NE.em"), "--length", "400", "--sweep", "100:300:100")
         code, out, err = run(capsys, *argv)

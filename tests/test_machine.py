@@ -28,6 +28,7 @@ from emsync import (
     word_probability,
 )
 from emsync.machine import solve_stationary
+from perfbench import corpus
 
 M_EX_TEXT = (pathlib.Path(__file__).resolve().parents[1] / "machines" / "M_EX.em").read_text(
     encoding="utf-8"
@@ -230,7 +231,7 @@ def small_chains(machines, max_states=14):
     for m in machines:
         chains = [m.transition_matrix()]
         pa, da = deadlock_analysis(m)
-        total = pair_matrix(pa).total
+        total = pair_matrix(pa)
         chains += [total[np.ix_(rows, rows)] for rows in da.component_rows]
         yield from (T for T in chains if T.shape[0] <= max_states)
 
@@ -293,6 +294,19 @@ class TestRandomMachine:
             random_machine(0, 2, seed=0)
         with pytest.raises(InputError):
             random_machine(2, 2, density=0.0, seed=0)
+        with pytest.raises(InputError, match="seed"):
+            random_machine(3, 2, seed=-1)
+
+
+NONEXACT_1000_SHA256 = "48d084969149a6733c34b66dfb0af5d570cd8221be57a978f848201a8761ffdf"
+
+
+def test_corpus_fixtures_match_pinned_hashes(exact_corpus, mixed_corpus, nonexact_corpus):
+    # the fixtures are perfbench's recipes; the non-exact one at 1000
+    # machines, ten times the benchmark's pinned size
+    assert corpus.corpus_hash(exact_corpus) == corpus.CORPUS_SHA256["exact"]
+    assert corpus.corpus_hash(mixed_corpus) == corpus.CORPUS_SHA256["mixed"]
+    assert corpus.corpus_hash(nonexact_corpus) == NONEXACT_1000_SHA256
 
 
 def test_machine_is_immutable(ref_ex):

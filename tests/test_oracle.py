@@ -377,3 +377,5 @@ class TestSimulateBeliefs:
             simulate_beliefs(ref_ne, -1, 10, seed=1)
         with pytest.raises(InputError):
             simulate_beliefs(ref_ne, 5, 10, seed=1, record_at=[7])
+        with pytest.raises(InputError, match="seed"):
+            simulate_beliefs(ref_ne, 3, 10, seed=-1)

@@ -98,6 +98,21 @@ class TestComponents:
         da = mergeable_pairs(pa)
         assert deadlock_components(da, pa) == []
 
+    def test_component_rows_on_first_use(self, mix_machine):
+        # the analysis that mergeable_pairs returns is whole: its closed
+        # components need no further call
+        da = mergeable_pairs(build_pair_automaton(mix_machine))
+        assert [rows.tolist() for rows in da.component_rows] == [[1, 3, 4, 5]]
+
+    def test_components_are_pairs_of_component_rows(
+        self, perm4_machine, trans_machine, nonexact_corpus
+    ):
+        for m in [perm4_machine, trans_machine, *nonexact_corpus[:40]]:
+            pa = build_pair_automaton(m)
+            da = mergeable_pairs(pa)
+            expected = [tuple(map(tuple, pa.pairs[rows].tolist())) for rows in da.component_rows]
+            assert da.components == expected
+
     def test_mixed_machine_component(self, mix_machine):
         _, da = deadlock_analysis(mix_machine)
         assert da.components == [((0, 2), (1, 2), (2, 0), (2, 1))]

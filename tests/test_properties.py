@@ -390,7 +390,7 @@ def test_mergeable_mask_matches_fixed_point(m):
 @pair_layer_settings
 @given(machines(), st.integers(0, 8))
 def test_nsyn_row_sums_match_matrix_power(m, length):
-    T = pair_matrix(build_pair_automaton(m)).total
+    T = pair_matrix(build_pair_automaton(m))
     expected = np.linalg.matrix_power(T, length) @ np.ones(T.shape[0])
     actual = nsyn_bounds(m, length).row_sums
     np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0.0)
@@ -402,7 +402,7 @@ def test_escape_is_radius_of_dense_restriction(m):
     pa, da = deadlock_analysis(m)
     absorbed = {pair for comp in da.components for pair in comp}
     keep = [r for r in range(pa.count) if pa.pair(r) not in absorbed]
-    T = pair_matrix(pa).total
+    T = pair_matrix(pa)
     assert rate_report(m).escape == spectral_radius(T[np.ix_(keep, keep)], 1e-9)
 
 
@@ -419,7 +419,7 @@ def test_radius_of_tables_is_radius_of_chain_matrix(m):
 
 
 def total_pair_matrix(m):
-    return pair_matrix(build_pair_automaton(m)).total
+    return pair_matrix(build_pair_automaton(m))
 
 
 @pair_layer_settings

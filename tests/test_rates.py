@@ -143,17 +143,17 @@ class TestPairMatrix:
     def test_ex_totals(self, ref_ex):
         pa = build_pair_automaton(ref_ex)
         pm = pair_matrix(pa)
-        assert np.allclose(pm.total, [[0.0, 0.5], [0.25, 0.0]], atol=1e-15)
+        assert np.allclose(pm, [[0.0, 0.5], [0.25, 0.0]], atol=1e-15)
         # symbol a merges both states, so it has no pair move
         assert (pa.delta2[:, 0] == -1).all() and not pa.weight[:, 0].any()
         # symbol b carries every entry of the total
         assert pa.delta2[:, 1].tolist() == [1, 0]
-        assert np.allclose(pa.weight[:, 1], [pm.total[0, 1], pm.total[1, 0]], atol=1e-15)
+        assert np.allclose(pa.weight[:, 1], [pm[0, 1], pm[1, 0]], atol=1e-15)
 
     def test_ne_totals(self, ref_ne):
         pa = build_pair_automaton(ref_ne)
         pm = pair_matrix(pa)
-        assert np.allclose(pm.total, [[0.7, 0.3], [0.6, 0.4]], atol=1e-15)
+        assert np.allclose(pm, [[0.7, 0.3], [0.6, 0.4]], atol=1e-15)
         assert pa.delta2[:, 0].tolist() == [0, 1]
         assert np.allclose(pa.weight[:, 0], [0.7, 0.4], atol=1e-15)
         assert pa.delta2[:, 1].tolist() == [1, 0]
@@ -161,7 +161,7 @@ class TestPairMatrix:
 
     def test_one_state_machine_is_empty(self, ref_1):
         pa = build_pair_automaton(ref_1)
-        assert pair_matrix(pa).total.shape == (0, 0)
+        assert pair_matrix(pa).shape == (0, 0)
         assert pa.delta2.shape == pa.weight.shape == (0, 1)
 
     def test_total_is_symbol_sum(self):
@@ -170,12 +170,12 @@ class TestPairMatrix:
         expected = np.zeros((pa.count, pa.count))
         for s, j in zip(*np.nonzero(pa.delta2 >= 0)):
             expected[s, pa.delta2[s, j]] += pa.weight[s, j]
-        assert np.allclose(expected, pair_matrix(pa).total, atol=1e-15)
+        assert np.allclose(expected, pair_matrix(pa), atol=1e-15)
 
     def test_rows_substochastic(self, nonexact_corpus):
         for m in nonexact_corpus[:25]:
             pm = pair_matrix(build_pair_automaton(m))
-            sums = pm.total.sum(axis=1)
+            sums = pm.sum(axis=1)
             assert (sums <= 1.0 + 1e-12).all()
 
 
@@ -339,7 +339,7 @@ class TestSyncRate:
     @pytest.mark.parametrize("n", [17, 24, 32, 40])
     def test_cerny_machines_match_eigenvalues(self, n, solve_calls, step_calls):
         m = cerny_machine(n)
-        T = pair_matrix(build_pair_automaton(m)).total
+        T = pair_matrix(build_pair_automaton(m))
         assert sync_rate(m) == pytest.approx(dense_radius(T), abs=1e-9)
         # the one n(n-1)-pair block closes in Noda iteration, in fewer steps
         # than its budget of power windows: no stall hands it back to them
@@ -359,7 +359,7 @@ class TestSyncRate:
 
     def test_slow_gap_random_machine_matches_eigenvalues(self):
         m = random_machine(10, 2, density=0.9, seed=10)
-        T = pair_matrix(build_pair_automaton(m)).total
+        T = pair_matrix(build_pair_automaton(m))
         assert sync_rate(m) == pytest.approx(dense_radius(T), abs=1e-9)
 
     def test_matches_profile_decay(self, ref_ex):
@@ -403,7 +403,7 @@ class TestNsynBounds:
 
     def test_row_sums_match_matrix_power(self):
         m = random_machine(4, 3, seed=11)
-        T = pair_matrix(build_pair_automaton(m)).total
+        T = pair_matrix(build_pair_automaton(m))
         for L in (1, 4, 7):
             expected = np.linalg.matrix_power(T, L) @ np.ones(T.shape[0])
             assert np.allclose(nsyn_bounds(m, L).row_sums, expected, atol=1e-12)
@@ -638,7 +638,7 @@ class TestEscapeRate:
         self, ref_ne, mix_machine
     ):
         for m in (ref_ne, mix_machine):
-            T = pair_matrix(build_pair_automaton(m)).total
+            T = pair_matrix(build_pair_automaton(m))
             assert spectral_radius(T) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -682,7 +682,7 @@ class TestRateReport:
 
     def test_classification_matches_radius(self, mixed_corpus):
         for m in mixed_corpus[:15]:
-            T = pair_matrix(build_pair_automaton(m)).total
+            T = pair_matrix(build_pair_automaton(m))
             rho = spectral_radius(T, eps=1e-9) if T.size else 0.0
             if classify(m) == "non-exact":
                 assert abs(rho - 1.0) <= 1e-6
