@@ -412,9 +412,21 @@ def random_machine(n, k, density=1.0, seed=0, max_tries=10000):
     given density (at least one edge per state), targets uniform, emission
     probabilities flat on the simplex of present edges.
 
-    Rejects and resamples until validation passes (strong connectivity and
-    no equivalent states).  Deterministic for a given seed; raises
-    GenerationError after max_tries rejections.
+    Each state of a candidate draws, in this order: k uniforms, where
+    symbol j is present when its uniform is below `density`; one fallback
+    symbol `integers(k)` when none is; one target `integers(0, n)` per
+    present symbol; and the weights, standard exponentials divided by
+    their sum taken in order.  These are bit for bit the draws of
+    `integers(0, n, size=s)` and `dirichlet(ones(s))`, without the array
+    overhead of those calls; the seeded corpora pinned in
+    perfbench/corpus.py depend on this order.
+
+    A candidate whose target table is not strongly connected is rejected
+    before any machine is constructed; the rest go through the full
+    EpsilonMachine validation (row sums, strong connectivity, no
+    equivalent states, probabilities in (0, 1]).  Deterministic for a
+    given seed; raises GenerationError after max_tries rejections, and
+    InputError when max_tries is below 1.
     """
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
@@ -422,22 +434,32 @@ def random_machine(n, k, density=1.0, seed=0, max_tries=10000):
         raise InputError("density must lie in (0, 1]")
     if seed < 0:
         raise InputError("seed must be nonnegative")
+    if max_tries < 1:
+        raise InputError("max_tries must be at least 1")
     rng = np.random.default_rng(seed)
     states = [str(i) for i in range(n)]
     symbols = _default_symbols(k)
     for _ in range(max_tries):
+        targets = [[-1] * k for _ in range(n)]
         edges = []
-        for i in range(n):
-            present = np.flatnonzero(rng.random(k) < density)
-            if present.size == 0:
-                present = np.array([rng.integers(k)])
-            targets = rng.integers(0, n, size=present.size)
-            weights = rng.dirichlet(np.ones(present.size))
-            for j, t, w in zip(present, targets, weights):
-                edges.append((states[i], symbols[j], states[t], float(w)))
+        for i, row in enumerate(targets):
+            present = [j for j, u in enumerate(rng.random(k).tolist()) if u < density]
+            if not present:
+                present = [int(rng.integers(k))]
+            for j in present:
+                row[j] = int(rng.integers(0, n))
+            weights = rng.standard_exponential(len(present)).tolist()
+            total = 0.0
+            for w in weights:  # in order, as dirichlet sums (sum() may compensate)
+                total += w
+            scale = 1.0 / total
+            for j, w in zip(present, weights):
+                edges.append((states[i], symbols[j], states[row[j]], w * scale))
+        if not is_strongly_connected(targets):
+            continue
         try:
             return EpsilonMachine(states, symbols, edges, name=f"random-{seed}")
-        except (NotStronglyConnectedError, EquivalentStatesError, EdgeProbabilityError):
+        except (EquivalentStatesError, EdgeProbabilityError):
             continue
     raise GenerationError(
         f"no valid machine found in {max_tries} attempts (n={n}, k={k}, density={density})"

@@ -301,6 +301,16 @@ class TestExitCodes:
         assert err.startswith("error:") and "seed" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("tries", ["0", "-5"])
+    def test_gen_max_tries_below_one(self, capsys, tries):
+        code, out, err = run(
+            capsys, "gen", "--states", "3", "--symbols", "2", "--max-tries", tries
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "max_tries" in err
+        assert len(err.splitlines()) == 1
+
     def test_simulate_length_with_sweep_refused(self, capsys, machine_dir):
         argv = ("simulate", str(machine_dir / "M_NE.em"), "--length", "400", "--sweep", "100:300:100")
         code, out, err = run(capsys, *argv)

@@ -27,7 +27,7 @@ from emsync import (
     stationary_distribution,
     word_probability,
 )
-from emsync.machine import solve_stationary
+from emsync.machine import _default_symbols, solve_stationary
 from perfbench import corpus
 
 M_EX_TEXT = (pathlib.Path(__file__).resolve().parents[1] / "machines" / "M_EX.em").read_text(
@@ -266,6 +266,38 @@ class TestSolveStationary:
             solve_stationary(T)
 
 
+def reference_random_machine(n, k, density=1.0, seed=0, max_tries=10000):
+    """The earlier draw loop of random_machine, kept as the oracle for its
+    stream: every candidate is drawn with array calls and constructed."""
+    rng = np.random.default_rng(seed)
+    states = [str(i) for i in range(n)]
+    symbols = _default_symbols(k)
+    for _ in range(max_tries):
+        edges = []
+        for i in range(n):
+            present = np.flatnonzero(rng.random(k) < density)
+            if present.size == 0:
+                present = np.array([rng.integers(k)])
+            targets = rng.integers(0, n, size=present.size)
+            weights = rng.dirichlet(np.ones(present.size))
+            for j, t, w in zip(present, targets, weights):
+                edges.append((states[i], symbols[j], states[t], float(w)))
+        try:
+            return EpsilonMachine(states, symbols, edges, name=f"random-{seed}")
+        except (NotStronglyConnectedError, EquivalentStatesError, EdgeProbabilityError):
+            continue
+    raise GenerationError(
+        f"no valid machine found in {max_tries} attempts (n={n}, k={k}, density={density})"
+    )
+
+
+def _draw_outcome(generate, *args, **kwargs):
+    try:
+        return generate(*args, **kwargs)
+    except GenerationError as exc:
+        return str(exc)
+
+
 class TestRandomMachine:
     def test_deterministic(self):
         a = random_machine(3, 2, density=0.9, seed=7)
@@ -296,6 +328,43 @@ class TestRandomMachine:
             random_machine(2, 2, density=0.0, seed=0)
         with pytest.raises(InputError, match="seed"):
             random_machine(3, 2, seed=-1)
+        for tries in (0, -5):
+            with pytest.raises(InputError, match="max_tries"):
+                random_machine(3, 2, seed=0, max_tries=tries)
+
+    # k up to 12 gives weight sums of more than 8 terms, where a pairwise or
+    # compensated sum would differ from dirichlet's in-order one; density
+    # 0.15 hits the fallback draw of a state with no edges
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_same_draws_as_reference_loop(self, n, k):
+        for density, seed in itertools.product([0.15, 0.5, 1.0], [0, 1, 7]):
+            kwargs = dict(density=density, seed=seed, max_tries=30)
+            expected = _draw_outcome(reference_random_machine, n, k, **kwargs)
+            assert _draw_outcome(random_machine, n, k, **kwargs) == expected
+
+    def test_disconnected_candidates_never_constructed(self, monkeypatch):
+        outcomes = []
+        init = EpsilonMachine.__init__
+
+        def counted(self, *args, **kwargs):
+            try:
+                init(self, *args, **kwargs)
+            except Exception as exc:
+                outcomes.append(type(exc))
+                raise
+            outcomes.append(None)
+
+        monkeypatch.setattr(EpsilonMachine, "__init__", counted)
+        seeds = range(4)
+        for seed in seeds:
+            reference_random_machine(6, 2, density=0.6, seed=seed)
+        assert NotStronglyConnectedError in outcomes  # these seeds draw some
+        outcomes.clear()
+        for seed in seeds:
+            random_machine(6, 2, density=0.6, seed=seed)
+        assert outcomes.count(None) == len(seeds)
+        assert NotStronglyConnectedError not in outcomes
 
 
 NONEXACT_1000_SHA256 = "48d084969149a6733c34b66dfb0af5d570cd8221be57a978f848201a8761ffdf"
