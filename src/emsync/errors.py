@@ -82,9 +82,10 @@ class NumericalError(EmsyncError):
 
 
 class ConvergenceError(NumericalError):
-    """Iteration cap reached before the requested accuracy; carries the best
-    bracket known so far."""
+    """Iteration stopped before the requested accuracy; carries the narrowest
+    bracket it reached, printed with enough digits to tell its ends apart."""
 
     def __init__(self, message: str, bracket: tuple[float, float]):
         self.bracket = bracket
-        super().__init__(f"{message} (best bracket [{bracket[0]:.12g}, {bracket[1]:.12g}])")
+        lo, hi = bracket
+        super().__init__(f"{message} (bracket [{lo!r}, {hi!r}], width {hi - lo:.3g})")

@@ -190,6 +190,8 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     """
     if length < 0:
         raise InputError("length must be nonnegative")
+    if budget < 0:
+        raise InputError("budget must be nonnegative")
     n, k = m.n, m.k
     steps = length * k**length
     if steps > budget:
@@ -268,6 +270,8 @@ def nonreset_profile(m, max_length, budget=10**7):
     """
     if max_length < 0:
         raise InputError("max_length must be nonnegative")
+    if budget < 0:
+        raise InputError("budget must be nonnegative")
     n, k = m.n, m.k
     delta_ext, _ = _extended_tables(m)
     probs_ext = np.vstack([m.probs, np.zeros((1, k))])
@@ -319,6 +323,8 @@ def reset_threshold(m, cap=None):
     raises a resource error; None is returned only when the subset graph is
     exhausted, which certifies that no reset word exists.
     """
+    if cap is not None and cap < 0:
+        raise InputError("cap must be nonnegative")
     n, k = m.n, m.k
     full = (1 << n) - 1
     if n == 1:

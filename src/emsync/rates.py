@@ -10,7 +10,6 @@ log-likelihood ratio accumulated along a component's edges sets the rate at
 which an observer's residual uncertainty shrinks.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -113,30 +112,25 @@ def _steps_to_close(widths, eps):
 
 
 def _noda_steps(vals, cols, x):
-    """Noda iteration from positive x (Numer. Math. 17, 1971).
-
-    Each vector's Collatz-Wielandt extremes min/max (Ax)_i / x_i bracket
-    rho(A); the upper one, sigma, shifts the next solve.  The solve runs on
-    the diagonally scaled block: (sigma I - D^-1 A D) y = 1 with
-    D = diag(x), then x <- x * y / max.  In exact arithmetic that is the
-    solve (sigma I - A) y = x; the scaled matrix is a diagonally dominant
-    M-matrix whose solution tends to a constant vector, so a solve accurate
-    in norm is accurate entry by entry even when x spans many orders of
-    magnitude (Alfa, Xue & Ye, Math. Comp. 71, 2002).  For irreducible A
-    and sigma > rho the inverse is positive, so x stays positive and every
-    bracket is certified.  The dense A is built before the first solve,
-    from the tables.  Yields one bracket per vector and returns the vector
-    of the narrowest bracket as soon as a solve is singular, leaves the
-    positive cone, or a bracket fails to narrow.
+    """Noda iteration from positive x (Numer. Math. 17, 1971): yields the
+    Collatz-Wielandt bracket min/max (Ax)_i / x_i of each vector and shifts
+    the next solve by its upper end sigma.  The solve runs on the
+    diagonally scaled block, (sigma I - D^-1 A D) y = 1 with D = diag(x),
+    then x <- x * y / max: in exact arithmetic (sigma I - A) y = x, but on
+    a diagonally dominant M-matrix, so accurate entry by entry even when x
+    spans many orders of magnitude (Alfa, Xue & Ye, Math. Comp. 71, 2002).
+    For irreducible A and sigma > rho the inverse is positive, so x stays
+    positive and every bracket is certified.  The dense A is built before
+    the first solve.  Ends at a singular solve, one leaving the positive
+    cone, or a bracket no narrower than the one before.
     """
-    A = None
-    best, best_width = x, math.inf
+    A, width = None, math.inf
     while True:
         ratio = _step(vals, cols, x) / x
         lo, hi = float(ratio.min()), float(ratio.max())
-        if not hi - lo < best_width:
-            return best
-        best, best_width = x, hi - lo
+        if not hi - lo < width:
+            return
+        width = hi - lo
         yield lo, hi
         if A is None:
             A = chain_matrix(cols.T, vals.T)
@@ -146,55 +140,52 @@ def _noda_steps(vals, cols, x):
         try:
             y = np.linalg.solve(shifted, np.ones(A.shape[0]))
         except np.linalg.LinAlgError:
-            return best
+            return
         if not (np.isfinite(y).all() and y.min() > 0):
-            return best
+            return
         y *= x
         x = y / y.max()
 
 
-def _radius_steps(vals, cols, d, eps):
-    """Brackets of the certified iteration on an irreducible block.
+def _block_radius(vals, cols, d, eps):
+    """Spectral radius of an irreducible nonnegative block in canonical
+    (w, b) tables, support period d: the midpoint of the intersection
+    [lo, hi] of the certified brackets once hi - lo <= eps, else
+    ConvergenceError with [lo, hi].  Power iteration runs at most b windows
+    (dense, the work of one factorisation) and hands off to Noda iteration
+    early once the bracket is predicted to need more than twice the windows
+    left (`_steps_to_close`); Noda stops at its first step that does not
+    narrow.  So both phases end without a step counter.
 
-    Power iteration has a budget of b windows on the b x b block (with
-    dense steps, the work of one factorisation).  It hands its vector to
-    Noda iteration, whose steps each cost a factorisation but converge
-    superlinearly whatever the gap |l2/l1|, once the budget is spent or as
-    soon as the running bracket is predicted to need more than twice the
-    windows left to narrow to eps (`_steps_to_close`).  Should Noda stall,
-    power iteration resumes from its best vector.
+    A bracket within rounding at the hand-off raises instead.  With u the
+    unit roundoff, one ratio pass sums w products per entry (error w u,
+    first order) and divides by x_i (u more): each ratio is within
+    (w + 1) u of exact, a window's within d (w + 1) u (the d-th root given
+    no credit).  x, rounded as much by the window before, spreads even the
+    exact ratios of the Perron vector by twice that either way (each is a
+    weighted mean of the perturbations less its own).  So each end lies
+    within 3 d (w + 1) u hi of rho from rounding alone, and a width of
+    6 d (w + 1) u hi or less may be noise that no step narrows.
     """
     b = cols.shape[1]
     lo, hi, widths = 0.0, math.inf, []
     for step_lo, step_hi, x in _power_steps(vals, cols, d, np.full(b, 1.0 / b)):
-        yield step_lo, step_hi
-        lo, hi = max(lo, step_lo), min(hi, step_hi)
-        widths.append(hi - lo)
-        # twice the windows left: no block of the benchmark ladders or the
-        # acceptance corpora that closes within b windows hands off early
-        if len(widths) == b or _steps_to_close(widths, eps) > 2 * (b - len(widths)):
-            break
-    x = yield from _noda_steps(vals, cols, x)
-    for step_lo, step_hi, _ in _power_steps(vals, cols, d, x):
-        yield step_lo, step_hi
-
-
-def _block_radius(vals, cols, d, eps, max_iter):
-    """Spectral radius of an irreducible nonnegative block, given as
-    canonical tables, whose support graph has period d: the midpoint of the
-    intersection [lo, hi] of the certified brackets, once its width is at
-    most eps.  The true value always lies inside [lo, hi]; every power
-    window and every Noda step counts against max_iter.
-    """
-    lo, hi = 0.0, math.inf
-    for step_lo, step_hi in itertools.islice(_radius_steps(vals, cols, d, eps), max_iter):
         lo, hi = max(lo, step_lo), min(hi, step_hi)
         if hi - lo <= eps:
             return 0.5 * (lo + hi)
-    raise ConvergenceError("radius iteration hit the iteration cap", bracket=(lo, hi))
+        widths.append(hi - lo)
+        if len(widths) == b or _steps_to_close(widths, eps) > 2 * (b - len(widths)):
+            break
+    if hi - lo <= 6 * (vals.shape[0] + 1) * d * _UNIT_ROUNDOFF * hi:
+        raise ConvergenceError("radius bracket is at floating-point resolution", bracket=(lo, hi))
+    for step_lo, step_hi in _noda_steps(vals, cols, x):
+        lo, hi = max(lo, step_lo), min(hi, step_hi)
+        if hi - lo <= eps:
+            return 0.5 * (lo + hi)
+    raise ConvergenceError("radius iteration stopped narrowing", bracket=(lo, hi))
 
 
-def spectral_radius(mat, eps=1e-10, max_iter=10**6, columns=None):
+def spectral_radius(mat, eps=1e-10, columns=None):
     """Largest-modulus eigenvalue of a nonnegative square matrix within eps.
 
     Without `columns`, mat is the dense square matrix.  With `columns`, mat
@@ -205,7 +196,8 @@ def spectral_radius(mat, eps=1e-10, max_iter=10**6, columns=None):
     block runs certified bracketed iteration (power iteration handing off
     to Noda iteration, which alone builds the dense block), and the maximum
     block value is returned.  A zero matrix gives 0.  eps must be a
-    positive finite number.
+    positive finite number; one below a block's floating-point resolution
+    raises ConvergenceError with that block's bracket.
     """
     vals = np.asarray(mat, dtype=float)
     if columns is None:
@@ -236,7 +228,7 @@ def spectral_radius(mat, eps=1e-10, max_iter=10**6, columns=None):
         sub_cols = targets.T.copy()
         sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
         d = component_period(targets)
-        value = max(value, _block_radius(sub_vals, sub_cols, d, eps, max_iter))
+        value = max(value, _block_radius(sub_vals, sub_cols, d, eps))
     return value
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from emsync import cli
 from emsync.cli import main
 from emsync.machine import parse_machine, random_machine, render_machine
+from perfbench import gen
 
 
 def run(capsys, *argv):
@@ -283,6 +285,14 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_oracle_negative_budget(self, capsys, machine_dir):
+        argv = ("bounds", str(machine_dir / "M_EX.em"), "--length", "0", "--oracle", "--budget", "-5")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+        assert len(err.splitlines()) == 1
+
     def test_simulate_requires_length_or_sweep(self, capsys, machine_dir):
         code, _, err = run(capsys, "simulate", str(machine_dir / "M_NE.em"))
         assert code == 2
@@ -356,6 +366,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "eps" in err
+
+    def test_eps_below_resolution_stops_on_its_bracket(self, capsys, tmp_path):
+        # the bracket stops narrowing near 1e-16, so the run must end on it
+        path = tmp_path / "cerny-17.em"
+        path.write_text(gen.cerny_spec(17).text(), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sync-rate", str(path), "--eps", "1e-300")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "bracket" in err
+        assert len(err.splitlines()) == 1
 
     def test_out_of_memory(self, capsys, machine_dir, monkeypatch):
         def exhaust(m):

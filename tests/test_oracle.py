@@ -171,6 +171,11 @@ class TestExactWordStats:
         with pytest.raises(InputError):
             exact_word_stats(ref_ex, -2)
 
+    def test_negative_budget(self, ref_ex):
+        # a length-0 enumeration needs 0 steps, so only the sign can refuse it
+        with pytest.raises(InputError, match="budget"):
+            exact_word_stats(ref_ex, 0, budget=-5)
+
     def test_records_none_by_default(self, ref_ex):
         assert exact_word_stats(ref_ex, 2).records is None
 
@@ -257,6 +262,10 @@ class TestNonresetProfile:
         with pytest.raises(InputError):
             nonreset_profile(ref_ex, -1)
 
+    def test_negative_budget(self, ref_ex):
+        with pytest.raises(InputError, match="budget"):
+            nonreset_profile(ref_ex, 0, budget=-1)
+
 
 class TestResetThreshold:
     def test_references(self, ref_ex, ref_gm, ref_ne, ref_1):
@@ -275,6 +284,11 @@ class TestResetThreshold:
         assert reset_threshold(m, cap=9) == 9
         # exhaustion certifies None even under a cap
         assert reset_threshold(ref_ne, cap=50) is None
+
+    def test_negative_cap(self, ref_1):
+        # checked before the one-state shortcut, which needs no search
+        with pytest.raises(InputError, match="cap"):
+            reset_threshold(ref_1, cap=-1)
 
     def test_matches_profile_support(self, mixed_corpus):
         # the threshold is the first length with a reset word; before it

@@ -25,7 +25,8 @@ from emsync import (
     sync_rate,
 )
 from emsync import rates
-from emsync.machine import EpsilonMachine
+from emsync.machine import EpsilonMachine, parse_machine
+from perfbench import gen
 
 SRC_EX = 0.3535533905932738  # sqrt(1/8)
 E_NE = 0.186538595978474
@@ -278,8 +279,7 @@ class TestSpectralRadius:
         ],
     )
     def test_non_finite_entries_are_rejected(self, A):
-        # without the check the first two gave 0.0 and the last two ran to
-        # the iteration cap
+        # a NaN or infinite entry has no radius to bracket
         with pytest.raises(InputError, match="finite"):
             spectral_radius(A)
 
@@ -316,10 +316,22 @@ class TestSpectralRadius:
 
     def test_convergence_error_carries_bracket(self):
         with pytest.raises(ConvergenceError) as exc:
-            spectral_radius([[0.5, 0.3], [0.2, 0.4]], eps=1e-300, max_iter=2)
+            spectral_radius([[0.5, 0.3], [0.2, 0.4]], eps=1e-300)
         lo, hi = exc.value.bracket
         # true value is 0.7; the bracket is certified to contain it
         assert lo <= 0.7 <= hi
+        assert f"[{lo!r}, {hi!r}], width {hi - lo:.3g}" in str(exc.value)
+
+    def test_bracket_at_resolution_skips_noda(self, solve_calls):
+        # the power bracket stalls within rounding of the radius, about 30,
+        # where a Noda step could not narrow it either
+        A = np.random.default_rng(5).uniform(size=(60, 60))
+        with pytest.raises(ConvergenceError, match="resolution") as exc:
+            spectral_radius(A, eps=1e-16)
+        lo, hi = exc.value.bracket
+        assert hi - lo <= 6 * 61 * 2.0**-53 * hi
+        assert lo - 1e-12 <= dense_radius(A) <= hi + 1e-12
+        assert solve_calls == []
 
 
 class TestSyncRate:
@@ -335,6 +347,14 @@ class TestSyncRate:
     def test_non_exact_is_rejected(self, ref_ne):
         with pytest.raises(PreconditionError, match=r"not exact.*\(0, 1\)"):
             sync_rate(ref_ne)
+
+    def test_stall_below_resolution_skips_noda(self, solve_calls):
+        # a 40-state exact machine (1,560 pairs): its power bracket stalls
+        # at about 7 u hi, inside the bound of 18 u hi for w = 2 and d = 1
+        m = parse_machine(gen.exact_spec(40, 2, np.random.default_rng(1), "exact-40").text())
+        with pytest.raises(ConvergenceError, match="resolution"):
+            sync_rate(m, eps=1e-300)
+        assert solve_calls == []
 
     @pytest.mark.parametrize("n", [17, 24, 32, 40])
     def test_cerny_machines_match_eigenvalues(self, n, solve_calls, step_calls):
