@@ -20,7 +20,7 @@ from .errors import EmsyncError, InputError
 from .machine import parse_machine, random_machine, render_machine
 from .oracle import exact_word_stats, simulate_beliefs
 from .pairs import classify
-from .rates import nsyn_bounds, rate_report, sync_rate
+from .rates import RATE_EPS, nsyn_bounds, rate_report, sync_rate
 
 
 def format_value(value):
@@ -184,7 +184,9 @@ def build_parser():
         "sync-rate", parents=[common], help="synchronization rate constant (exact machines)"
     )
     p.add_argument("machine", help="machine file")
-    p.add_argument("--eps", type=float, default=1e-9, help="absolute accuracy (default 1e-9)")
+    p.add_argument(
+        "--eps", type=float, default=RATE_EPS, help="absolute accuracy (default %(default)g)"
+    )
     p.set_defaults(func=cmd_sync_rate)
 
     p = sub.add_parser(

@@ -33,7 +33,9 @@ class EpsilonMachine:
 
     Parameters
     ----------
-    states, symbols : sequences of identifier strings (order fixes indices).
+    states, symbols : sequences of identifier strings (order fixes indices);
+        an identifier, like the name, is nonempty and holds no whitespace
+        or '#', so that the text format carries it.
     edges : iterable of (state, symbol, target, probability) by name.
     name : machine name used when rendering.
     check_equivalent : validate that no two states are probabilistically
@@ -54,6 +56,9 @@ class EpsilonMachine:
             raise MachineSyntaxError("at least one state is required")
         if not self.symbols:
             raise MachineSyntaxError("at least one symbol is required")
+        for label in (self.name, *self.states, *self.symbols):
+            if label.split() != [label] or "#" in label:
+                raise MachineSyntaxError(f"name {label!r} is empty or holds whitespace or '#'")
         if len(set(self.states)) != len(self.states):
             raise MachineSyntaxError("duplicate state identifier")
         if len(set(self.symbols)) != len(self.symbols):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ImpossibleWordError, InputError, ResourceError
-from .machine import stationary_distribution
+from .machine import PROB_TOL, stationary_distribution
 from .pairs import build_pair_automaton, mergeable_pairs
 
 
@@ -114,7 +114,7 @@ def belief(m, pi0, word):
     phi = np.asarray(pi0, dtype=float)
     if phi.shape != (m.n,):
         raise InputError("initial distribution length must match the state count")
-    if not (np.isfinite(phi).all() and phi.min() >= 0 and abs(phi.sum() - 1.0) <= 1e-9):
+    if not (np.isfinite(phi).all() and phi.min() >= 0 and abs(phi.sum() - 1.0) <= PROB_TOL):
         raise InputError("initial distribution must be a probability vector")
     phi = phi.copy()
     read = []
@@ -303,12 +303,9 @@ def nonreset_profile(m, max_length, budget=10**7):
 
 
 def _distinct_live(actions, n):
+    """Per row of `actions`, the number of distinct live states (n is dead)."""
     ordered = np.sort(actions, axis=1)
-    if actions.shape[1] == 1:
-        distinct = np.ones(actions.shape[0], dtype=np.int64)
-    else:
-        distinct = (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1
-    return distinct - (ordered[:, -1] == n)
+    return (np.diff(ordered, axis=1) != 0).sum(axis=1) + 1 - (ordered[:, -1] == n)
 
 
 # -- reset threshold -----------------------------------------------------------
@@ -411,27 +408,27 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     rng = np.random.default_rng(seed)
     pi = stationary_distribution(m).pi
     delta_ext, logp_ext = _extended_tables(m)
+    # a draw u in [0, 1) passes exactly the thresholds of the outcomes before
+    # the one it picks; +inf from the last live outcome on means that a sum
+    # rounded below 1 cannot let u pass every outcome
+    start_cum = np.append(np.cumsum(pi)[:-1], np.inf)
     cum = np.cumsum(m.probs, axis=1).T  # row j: each state's P(symbol <= j)
-    last_live = np.array([max(j for j in range(k) if m.probs[i, j] > 0) for i in range(n)])
+    last_live = k - 1 - np.argmax(m.probs[:, ::-1] > 0, axis=1)
+    cum[np.arange(k)[:, None] >= last_live] = np.inf
 
-    start = np.minimum((rng.random(runs)[:, None] >= np.cumsum(pi)[None, :]).sum(axis=1), n - 1)
-    current = start.copy()
+    start = (rng.random(runs)[:, None] >= start_cum[None, :]).sum(axis=1)
     shadow = np.tile(np.arange(n, dtype=np.int64), (runs, 1))
     logw = np.zeros((runs, n))
     q_at = {}
     for step in range(length + 1):
         if step > 0:
+            current = shadow[np.arange(runs), start]  # the true state: its moves are live
             u = rng.random(runs)
             # count the thresholds passed, column by column and as integers
             # (np.add of two boolean arrays is a logical or)
             sym = functools.reduce(np.add, (u >= c[current] for c in cum), 0)
-            sym = np.minimum(sym, k - 1)
-            bad = m.probs[current, sym] == 0.0
-            if bad.any():
-                sym[bad] = last_live[current[bad]]
             logw += logp_ext[shadow, sym[:, None]]
             shadow = delta_ext[shadow, sym[:, None]]
-            current = m.delta[current, sym]
         if step in record_at or step == length:
             q_at[step] = _residual_mass(_endpoint_posterior(np.log(pi), logw, shadow)[1])
 

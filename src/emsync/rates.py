@@ -371,7 +371,8 @@ def edge_machine_stats(component, pa):
 def _drift_bracket(rows, pa):
     """Certified interval [lo, hi] holding the drift of the closed strongly
     connected component `rows`, from relative value iteration on its
-    sparse tables; no c x c matrix is built for c > DENSE_SEED_PAIRS.
+    sparse tables; a component of c pairs over k symbols builds a c x c
+    matrix only when c^2 <= 3 k DRIFT_MAX_STEPS (see below).
 
     Let P be the component chain, g_i = sum_j w_ij ln(w_ij / P(j|q_i)) the
     expected log ratio out of pair i, and rho the left Perron vector of P
@@ -385,11 +386,13 @@ def _drift_bracket(rows, pa):
     shrinks to 0.  A component of at most DENSE_SEED_PAIRS pairs first
     takes h from one dense Poisson solve (I - P)h + E 1 = g, h_0 = 0,
     doubled for the lazy chain; its bracket then closes in about one step.
-    A larger component starts from h = 0; one of at most 2 DENSE_SEED_PAIRS
-    pairs switches once to that seed as soon as its bracket is predicted
-    to need more than c further steps (`_steps_to_close`), up to that bound
-    about the cost of the solve.  A component above it never builds a
-    c x c matrix.
+    A larger component starts from h = 0 and switches once to that seed as
+    soon as its bracket is predicted to need more than c further steps
+    (`_steps_to_close`), if c^2 <= 3 k DRIFT_MAX_STEPS.  That is the size up
+    to which the seed is the cheaper way past the step cap: its LU takes
+    about c^3 / 3 multiply-adds and a step about k c, so the seed costs no
+    more than the steps to the cap while c^3 / 3 <= k c DRIFT_MAX_STEPS.
+    A component above it never builds a c x c matrix.
 
     Iteration stops once max r - min r <= DRIFT_EPS.  Each end is then
     widened by omega = 2 (k + 5) u (max_i G_i + (1 + delta) |h|) +
@@ -414,7 +417,7 @@ def _drift_bracket(rows, pa):
     spread = float((vals * (np.abs(log_ratio) + 1.0)).sum(axis=0).max())
     delta = float(np.abs(1.0 - vals.sum(axis=0)).max()) + (k + 1) * _UNIT_ROUNDOFF
     h = np.zeros(c)
-    seed = c <= 2 * DENSE_SEED_PAIRS  # a dense seed is still allowed
+    seed = c * c <= 3 * k * DRIFT_MAX_STEPS  # a dense seed is still allowed
     if c <= DENSE_SEED_PAIRS:
         h, seed = _poisson_seed(vals, cols, g, h), False
     widths = []

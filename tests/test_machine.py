@@ -87,6 +87,24 @@ class TestParsing:
             parse_machine(text)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "states,symbols,name",
+        [
+            (["a b", "c#d"], ["x"], "m"),
+            (["0"], [""], "m"),
+            (["0"], ["x\ty"], "m"),
+            (["0"], ["x"], "my machine"),
+            (["0"], ["x"], "m#1"),
+            (["0"], ["x"], "m\u2028"),  # a line separator to str.splitlines
+        ],
+    )
+    def test_names_the_text_format_cannot_carry(self, states, symbols, name):
+        # render_machine would write text that parse_machine rejects
+        edges = [(states[0], symbols[0], states[0], 1.0)]
+        with pytest.raises(MachineSyntaxError) as err:
+            EpsilonMachine(states, symbols, edges, name=name)
+        assert err.value.exit_code == 2
+
     def test_row_sum_error(self):
         with pytest.raises(RowSumError):
             parse_machine(M_EX_TEXT.replace("edge 0 a 0 0.5", "edge 0 a 0 0.6"))

@@ -1,6 +1,7 @@
 """Verification routes: belief tracking, exhaustive word enumeration,
 aggregated word actions, reset threshold, and Monte Carlo simulation."""
 
+import hashlib
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from emsync import (
     belief,
     exact_word_stats,
     nonreset_profile,
+    parse_machine,
     random_machine,
     reset_threshold,
     simulate_beliefs,
@@ -22,6 +24,34 @@ from emsync import (
 )
 
 E_NE = 0.186538595978474
+
+# sha256 of simulation_digest's arrays, pinned so that a change to the draws
+# or to the belief read-out shows; machines/*.em by name, then
+# random_machine(5, 3, density=0.5, seed=s) as random-s
+SIMULATION_SHA256 = {
+    "M_1": "ff6698a6e831ffcf47af2fed388ffc262f319e72b26cd140929d1e19b1246ad4",
+    "M_EX": "bb704b9b9dfce75a0980102c9ab2dff5b608f5d9d21bef752e316e49ffe3146b",
+    "M_GM": "bb704b9b9dfce75a0980102c9ab2dff5b608f5d9d21bef752e316e49ffe3146b",
+    "M_NE": "5666da7c1e89ecea21d5dd728c5972eb91a0c7c345c6845160678dde1e00f2ce",
+    "random-0": "21d4940f1f1f7f1dfa80d8a2f6e6812fb72e062029ea97cce2661fc95e7a4a51",
+    "random-1": "f54438b6f94dac0aabdef9c903449b897015219b03763e4efbe4047c1521a238",
+    "random-2": "3e9a4fe30f7614797942c79d96428bec1cd8233c5defa084b7ee17c3ad0544f3",
+    "random-3": "09612cde698e852f1dc48b419efb4092688ab32d64e508bc7de76e80698e8304",
+    "random-4": "5934fc83389ead5c67d05cafc99dd25a4a82c954901313bff01511f0a1b96865",
+    "random-5": "2304bfa27d8a8282559f6cf7287914c2cb9d40208e2f85b799711ff63b88c71f",
+    "random-6": "e17e0e65ebbd614a7fe3b42b714ea64e666f4e2d5fa95d23c7b644b7f7030b7f",
+    "random-7": "60c75287aec4ef04fcd80b2a14701925311fdd92234e245d6c0fe92311e8a2a6",
+    "random-8": "757a35e63fcba90f6974b6c09868b7181699b9a363369aa8e1271a220a47c535",
+    "random-9": "c3df8a65ec6633a8877457fb6619068ba96744d8c5ba1fa7c65e547af27de3a9",
+}
+
+
+def simulation_digest(m):
+    sim = simulate_beliefs(m, 60, 300, seed=0, record_at=[0, 10, 30])
+    digest = hashlib.sha256()
+    for a in (sim.starts, sim.q_values, sim.y_values, *(sim.q_at[t] for t in sorted(sim.q_at))):
+        digest.update(a.tobytes())
+    return digest.hexdigest()
 
 
 def cerny_machine():
@@ -379,6 +409,46 @@ class TestSimulateBeliefs:
         sim = simulate_beliefs(ref_ne, 200, 500, seed=9)
         assert sim.y_values.shape == (500,)
         assert abs(sim.y_values.mean() - E_NE) <= 0.01
+
+    def test_pinned_hashes(self, machine_dir):
+        machines = [parse_machine(p.read_text(encoding="utf-8")) for p in machine_dir.glob("*.em")]
+        machines += [random_machine(5, 3, density=0.5, seed=s) for s in range(10)]
+        assert {m.name: simulation_digest(m) for m in machines} == SIMULATION_SHA256
+
+    def test_draws_at_the_top_of_the_unit_interval(self, monkeypatch):
+        # the stationary law sums to 1 - 2^-52 and state 2's row to 1 - 1e-13,
+        # so a draw of nextafter(1, 0) passes every one of their cumulative
+        # sums; symbol c is defined nowhere, so drawing it would leave the
+        # word impossible
+        m = EpsilonMachine(
+            ["0", "1", "2"],
+            ["a", "b", "c"],
+            [
+                ("0", "a", "1", 0.25),
+                ("0", "b", "2", 0.75),
+                ("1", "a", "2", 0.4),
+                ("1", "b", "0", 0.6),
+                ("2", "a", "0", 0.5),
+                ("2", "b", "1", 0.4999999999999),
+            ],
+        )
+        pi = stationary_distribution(m).pi
+        assert np.cumsum(pi)[-1] < np.nextafter(1.0, 0.0)
+
+        class TopDraws:
+            def __init__(self, seed):
+                pass
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(np.random, "default_rng", TopDraws)
+        sim = simulate_beliefs(m, 9, 4, seed=0, record_at=range(10))
+        assert (sim.starts < m.n).all()
+        # each draw is the last live symbol of the true state: b, whose
+        # moves cycle 2 -> 1 -> 0 -> 2
+        for t, q in sim.q_at.items():
+            assert q == pytest.approx(belief(m, pi, "b" * t).q_l, rel=1e-9, abs=0.0)
 
     def test_starts_follow_state_indices(self, ref_ne):
         sim = simulate_beliefs(ref_ne, 3, 100, seed=4)

@@ -362,9 +362,10 @@ def test_drift_bracket_holds_dense_drift(m):
 @pair_layer_settings
 @given(st.one_of(machines(), permutation_machines()))
 def test_drift_bracket_from_zero_holds_dense_drift(m):
-    # every component iterates from h = 0, without the dense seed
+    # every component iterates from h = 0: the seed returns the h it is
+    # given, as it does when its solve fails
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rates, "DENSE_SEED_PAIRS", 0)
+        patch.setattr(rates, "_poisson_seed", lambda vals, cols, g, h: h)
         assert_drift_brackets_hold_dense_drift(m)
 
 

@@ -85,6 +85,15 @@ def permutation_cycle_machine(n, seed):
     return EpsilonMachine([str(i) for i in range(n)], ["a", "b"], edges, name=f"perm-cycle-{n}")
 
 
+def rare_b_machine(n):
+    """gen.permutation_spec(n, 2) with symbol b rare, P(b|i) = 1e-4 (1 + i/n):
+    one closed component of n(n - 1) pairs that mixes slowly."""
+    spec = gen.permutation_spec(n, 2, np.random.default_rng(5), f"rare-b-{n}")
+    spec.probs[:, 0] = 1 - 1e-4 * (1 + np.arange(n) / n)
+    spec.probs[:, 1] = 1 - spec.probs[:, 0]
+    return parse_machine(spec.text())
+
+
 def dense_radius(A):
     return float(np.abs(np.linalg.eigvals(np.asarray(A))).max())
 
@@ -581,13 +590,25 @@ class TestDriftBracket:
         (rows,) = da.component_rows
         expected = edge_machine_stats(da.components[0], pa).expectation
         solve_calls.clear()
-        monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 15)  # 30 pairs <= 2 * 15
+        monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 15)  # no seed up front
+        monkeypatch.setattr(rates, "DRIFT_MAX_STEPS", 150)  # 30^2 <= 3 * 2 * 150
         lo, hi = rates._drift_bracket(rows, pa)
         assert solve_calls == [30] and lo <= expected <= hi
         solve_calls.clear()
-        monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 14)  # above the bound: no dense seed
-        lo, hi = rates._drift_bracket(rows, pa)
+        monkeypatch.setattr(rates, "DRIFT_MAX_STEPS", 149)  # above the bound: no dense seed
+        with pytest.raises(ConvergenceError) as exc:
+            rates._drift_bracket(rows, pa)
+        lo, hi = exc.value.bracket
         assert solve_calls == [] and lo <= expected <= hi
+
+    def test_rare_b_24_switches_to_dense_seed(self, solve_calls):
+        # 552 pairs over 2 symbols, 552^2 <= 3 * 2 * DRIFT_MAX_STEPS; from
+        # h = 0 it runs to the step cap
+        m = rare_b_machine(24)
+        pa, da = deadlock_analysis(m)
+        ((lo, hi),) = rate_report(m).drift_intervals
+        assert solve_calls == [552]
+        assert lo <= edge_machine_stats(da.components[0], pa).expectation <= hi
 
     def test_step_cap_raises_with_certified_bracket(self, mix_machine, monkeypatch):
         monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 0)
