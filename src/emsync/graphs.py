@@ -2,17 +2,12 @@
 
 A graph on nodes 0..rows-1 is a (rows, w) integer table: row u holds the
 targets of u's edges, -1 for no edge.  `delta`, `delta2` and the transposed
-radius tables are all of this form.
+radius tables are all of this form.  One traversal, `tarjan`, gives the
+components and a depth per node, from which `labelled_period` reads each
+component's period without a second pass.
 """
 
-import itertools
-from math import gcd
-
 import numpy as np
-
-
-def _adjacency(targets):
-    return [[t for t in row if t >= 0] for row in np.asarray(targets).tolist()]
 
 
 def restrict(targets, nodes):
@@ -24,40 +19,49 @@ def restrict(targets, nodes):
     return position[targets[nodes]]
 
 
-def strongly_connected_components(targets):
-    """Strongly connected components of the graph of a target table.
+def tarjan(targets):
+    """Strongly connected components of a target table's graph, and the
+    depth of every node in the depth-first forest that found them.
 
-    Iterative Tarjan; returns a list of components (each a sorted list of
-    nodes) in reverse topological order of the condensation.
+    Iterative Tarjan over the flat table: roots are taken in node order and
+    each node's edges in slot order, walked with one edge pointer per node.
+    Returns (components, depth): the components, each a sorted list of
+    nodes, in reverse topological order of the condensation, and each
+    node's depth in the forest as a list.
     """
-    adjacency = _adjacency(targets)
-    n = len(adjacency)
+    table = np.asarray(targets)
+    n = len(table)
+    width = table.shape[1] if n else 0
+    flat = table.ravel().tolist()
     index = [0] * n  # visit order from 1; n + 1 once the component is out
     low = [0] * n
-    stack, work, components = [], [], []
-    counter = itertools.count(1)
-
-    def visit(v):
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        work.append((v, iter(adjacency[v])))
-
+    depth = [0] * n
+    edge = [u * width for u in range(n)]  # flat position of each node's next edge
+    stack, components = [], []
+    visited = 0
     for root in range(n):
         if index[root]:
             continue
-        visit(root)
-        while work:
-            u, it = work[-1]
-            for v in it:
+        visited += 1
+        index[root] = low[root] = visited
+        stack.append(root)
+        path = [root]
+        while path:
+            u = path[-1]
+            e, end = edge[u], (u + 1) * width
+            while e < end:
+                v = flat[e]
+                e += 1
+                if v < 0:
+                    continue
                 if not index[v]:
-                    visit(v)
                     break
-                low[u] = min(low[u], index[v])
+                if index[v] < low[u]:
+                    low[u] = index[v]
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[u])
+                path.pop()
+                if path and low[u] < low[path[-1]]:
+                    low[path[-1]] = low[u]
                 if low[u] == index[u]:
                     comp = []
                     while not comp or comp[-1] != u:
@@ -65,28 +69,47 @@ def strongly_connected_components(targets):
                         index[comp[-1]] = n + 1
                     comp.sort()
                     components.append(comp)
-    return components
+                continue
+            edge[u] = e
+            visited += 1
+            index[v] = low[v] = visited
+            depth[v] = len(path)
+            stack.append(v)
+            path.append(v)
+    return components, depth
+
+
+def strongly_connected_components(targets):
+    """Strongly connected components of the graph of a target table, each
+    a sorted list of nodes, in reverse topological order of the
+    condensation: the components of `tarjan`."""
+    return tarjan(targets)[0]
 
 
 def is_strongly_connected(targets):
     return len(targets) <= 1 or len(strongly_connected_components(targets)) == 1
 
 
-def component_period(targets):
-    """Period (gcd of cycle lengths) of a strongly connected target table,
-    such as a block cut out by `restrict`.  A single node without a
-    self-loop has no cycle; 1 is returned as a harmless default.
+def labelled_period(targets, labels):
+    """Period (gcd of cycle lengths) of a strongly connected target table
+    from path-length labels: labels[v] - labels[r] is the length of some
+    path from one fixed node r to v.
+
+    All paths from r to v have one length modulo the period d, so d
+    divides labels[u] + 1 - labels[v] on every edge u -> v, hence their gcd
+    g.  A cycle's length is the sum of these terms along it, so g divides
+    every cycle length, hence d.  Thus g = d.  A table without a cycle (one
+    node without a self-loop) gets 1 as a harmless default.
     """
-    adjacency = _adjacency(targets)
-    level = [-1] * len(adjacency)
-    level[0] = 0
-    order = [0]
-    g = 0
-    for u in order:
-        for v in adjacency[u]:
-            if level[v] >= 0:
-                g = gcd(g, level[u] + 1 - level[v])
-            else:
-                level[v] = level[u] + 1
-                order.append(v)
-    return abs(g) if g else 1
+    targets = np.asarray(targets)
+    labels = np.asarray(labels)
+    rows, slots = np.nonzero(targets >= 0)
+    g = np.gcd.reduce(np.abs(labels[rows] + 1 - labels[targets[rows, slots]]))
+    return int(g) if g else 1
+
+
+def component_period(targets):
+    """Period of a strongly connected target table, such as a block cut
+    out by `restrict`: `labelled_period` on the depths of `tarjan`, whose
+    one tree from node 0 labels every node by a path length from it."""
+    return labelled_period(targets, tarjan(targets)[1])

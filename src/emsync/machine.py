@@ -67,8 +67,8 @@ class EpsilonMachine:
         self._symbol_index = {s: i for i, s in enumerate(self.symbols)}
 
         n, k = len(self.states), len(self.symbols)
-        delta = np.full((n, k), -1, dtype=np.int64)
-        probs = np.zeros((n, k))
+        delta = [[-1] * k for _ in range(n)]
+        probs = [[0.0] * k for _ in range(n)]
         for src, sym, dst, prob in edges:
             src, sym, dst = str(src), str(sym), str(dst)
             if src not in self._state_index:
@@ -78,22 +78,26 @@ class EpsilonMachine:
             if sym not in self._symbol_index:
                 raise UnknownNameError(f"unknown symbol {sym!r} in edge")
             i, j = self._state_index[src], self._symbol_index[sym]
-            if delta[i, j] != -1:
+            if delta[i][j] != -1:
                 raise DuplicateEdgeError(f"duplicate edge for state {src!r}, symbol {sym!r}")
-            prob = float(prob)
+            try:
+                prob = float(prob)
+            except (TypeError, ValueError):
+                raise EdgeProbabilityError(
+                    f"edge probability {prob!r} is not a number for state {src!r}, symbol {sym!r}"
+                ) from None
             if not (0.0 < prob <= 1.0):
                 raise EdgeProbabilityError(
                     f"edge probability {prob!r} outside (0, 1] for state {src!r}, symbol {sym!r}"
                 )
-            delta[i, j] = self._state_index[dst]
-            probs[i, j] = prob
+            delta[i][j] = self._state_index[dst]
+            probs[i][j] = prob
+        delta = np.array(delta, dtype=np.int64)
+        probs = np.array(probs)
 
-        row_sums = probs.sum(axis=1)
-        for i, total in enumerate(row_sums):
+        for state, total in zip(self.states, probs.sum(axis=1).tolist()):
             if abs(total - 1.0) > PROB_TOL:
-                raise RowSumError(
-                    f"emission probabilities of state {self.states[i]!r} sum to {total!r}, not 1"
-                )
+                raise RowSumError(f"emission probabilities of state {state!r} sum to {total!r}, not 1")
 
         delta.flags.writeable = False
         probs.flags.writeable = False
@@ -294,24 +298,19 @@ def check_equivalence(m):
     (emission probability class, class of the successor); classes split until
     a fixpoint.  A valid machine refines to singletons.
     """
-    prob_ids = _probability_classes(float(p) for _, _, _, p in m.edges())
+    rows = [
+        [(j, t, p) for j, (t, p) in enumerate(zip(targets, weights)) if t >= 0]
+        for targets, weights in zip(m.delta.tolist(), m.probs.tolist())
+    ]
+    prob_ids = _probability_classes(p for row in rows for _, _, p in row)
+    rows = [[(j, t, prob_ids[p]) for j, t, p in row] for row in rows]
     labels = [0] * m.n
     while True:
-        signatures = {}
-        for i in range(m.n):
-            sig = []
-            for j in range(m.k):
-                t = int(m.delta[i, j])
-                if t >= 0:
-                    sig.append((j, prob_ids[float(m.probs[i, j])], labels[t]))
-            signatures[i] = (labels[i], tuple(sig))
         order = {}
-        new_labels = [0] * m.n
-        for i in range(m.n):
-            key = signatures[i]
-            if key not in order:
-                order[key] = len(order)
-            new_labels[i] = order[key]
+        new_labels = [
+            order.setdefault((labels[i], tuple((j, c, labels[t]) for j, t, c in row)), len(order))
+            for i, row in enumerate(rows)
+        ]
         if new_labels == labels:
             break
         labels = new_labels

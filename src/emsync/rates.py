@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, InputError, PreconditionError
-from .graphs import component_period, is_strongly_connected, restrict, strongly_connected_components
+from .graphs import is_strongly_connected, labelled_period, restrict, tarjan
 from .machine import chain_matrix, solve_stationary, stationary_distribution
 from .pairs import build_pair_automaton, deadlock_analysis
 
@@ -192,9 +192,16 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     and columns are (rows, w) tables of one sparse square matrix: row a has
     entry mat[a, j] in column columns[a, j], -1 meaning no entry, and
     entries sharing a column add up (the matrix `chain_matrix` builds).
-    The support graph is condensed into strongly connected blocks; each
-    block runs certified bracketed iteration (power iteration handing off
-    to Noda iteration, which alone builds the dense block), and the maximum
+    The support graph is condensed into strongly connected blocks by one
+    Tarjan pass (`graphs.tarjan`), whose depths also give each block's
+    period.  Every node v of a block descends, in the depth-first forest,
+    from the block's first-visited node r, and the tree path from r to v
+    stays in the block (each node on it is reached from r and reaches v,
+    which reaches r).  So depth - depth[r] labels the block by path lengths
+    from r, and the gcd of |depth[u] + 1 - depth[v]| over the block's edges
+    is its period (`graphs.labelled_period`; depth[r] cancels).  Each block
+    runs certified bracketed iteration (power iteration handing off to
+    Noda iteration, which alone builds the dense block), and the maximum
     block value is returned.  A zero matrix gives 0.  eps must be a
     positive finite number; one below a block's floating-point resolution
     raises ConvergenceError with that block's bracket.
@@ -220,14 +227,16 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     vals, cols = _canonical_tables(vals, cols)
     self_loops = np.where(cols == np.arange(n), vals, 0.0).sum(axis=0).tolist()
     value = 0.0
-    for block in strongly_connected_components(cols.T):
+    blocks, depth = tarjan(cols.T)
+    depth = np.array(depth)
+    for block in blocks:
         if len(block) == 1:
             value = max(value, self_loops[block[0]])
             continue
         targets = restrict(cols.T, block)
         sub_cols = targets.T.copy()
         sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
-        d = component_period(targets)
+        d = labelled_period(targets, depth[block])
         value = max(value, _block_radius(sub_vals, sub_cols, d, eps))
     return value
 

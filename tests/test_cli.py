@@ -250,6 +250,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and "line 2" in err
 
+    def test_row_sum_error_prints_a_plain_float(self, capsys, tmp_path):
+        bad = tmp_path / "half.em"
+        bad.write_text(
+            "machine half\nstates a b\nsymbols x\nedge a x b 0.5\nedge b x a 1\nend\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: emission probabilities of state 'a' sum to 0.5, not 1\n"
+
     def test_missing_machine_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", str(tmp_path / "absent.em"))
         assert code == 2

@@ -128,6 +128,12 @@ class TestParsing:
         with pytest.raises(EdgeProbabilityError):
             parse_machine(bad)
 
+    @pytest.mark.parametrize("prob", ["abc", None, [1]])
+    def test_non_numeric_probability_is_edge_probability_error(self, prob):
+        edges = [("a", "x", "b", prob), ("b", "x", "a", 1.0)]
+        with pytest.raises(EdgeProbabilityError, match="not a number"):
+            EpsilonMachine(["a", "b"], ["x"], edges)
+
     def test_not_strongly_connected_error(self):
         text = (
             "machine m\nstates 0 1\nsymbols a\n"

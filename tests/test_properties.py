@@ -9,9 +9,11 @@ same machines.  The parser is checked on mutations of valid machine texts,
 and the spectral radius also on drawn reducible and periodic matrices.
 """
 
+import itertools
 import math
 import pathlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,10 +39,13 @@ from emsync import rates
 from emsync.graphs import (
     component_period,
     is_strongly_connected,
+    labelled_period,
     restrict,
     strongly_connected_components,
+    tarjan,
 )
 from emsync.machine import chain_matrix
+from perfbench import gen
 
 pair_layer_settings = settings(
     max_examples=120,
@@ -283,6 +288,82 @@ def reference_period(targets):
     return g
 
 
+def reference_components(targets):
+    """Iterative Tarjan on adjacency lists, one iterator per open node: the
+    components (sorted lists) in the order they close."""
+    adjacency = [[t for t in row if t >= 0] for row in np.asarray(targets).tolist()]
+    n = len(adjacency)
+    index = [0] * n  # visit order from 1; n + 1 once the component is out
+    low = [0] * n
+    stack, work, components = [], [], []
+    counter = itertools.count(1)
+
+    def visit(v):
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        work.append((v, iter(adjacency[v])))
+
+    for root in range(n):
+        if index[root]:
+            continue
+        visit(root)
+        while work:
+            u, it = work[-1]
+            for v in it:
+                if not index[v]:
+                    visit(v)
+                    break
+                low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                if low[u] == index[u]:
+                    comp = []
+                    while not comp or comp[-1] != u:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = n + 1
+                    comp.sort()
+                    components.append(comp)
+    return components
+
+
+def reference_bfs_period(targets):
+    """Period of a strongly connected table from breadth-first levels from
+    node 0: the gcd of level[u] + 1 - level[v] over the edges; 1 without a
+    cycle."""
+    adjacency = [[t for t in row if t >= 0] for row in np.asarray(targets).tolist()]
+    level = [-1] * len(adjacency)
+    level[0] = 0
+    order = [0]
+    g = 0
+    for u in order:
+        for v in adjacency[u]:
+            if level[v] >= 0:
+                g = math.gcd(g, level[u] + 1 - level[v])
+            else:
+                level[v] = level[u] + 1
+                order.append(v)
+    return abs(g) if g else 1
+
+
+def assert_traversal_matches_references(targets, exhaustive_period=True):
+    """tarjan's components, in order, are the reference Tarjan's, and the
+    period of each block from the whole-graph depths is its BFS period
+    (and, when exhaustive_period, its closed-walk period)."""
+    components, depth = tarjan(targets)
+    assert components == reference_components(targets)
+    assert strongly_connected_components(targets) == components
+    depth = np.array(depth)
+    for block in components:
+        sub = restrict(targets, block)
+        d = labelled_period(sub, depth[block])
+        assert d == reference_bfs_period(sub) == component_period(sub)
+        if exhaustive_period:
+            assert d == (reference_period(sub) or 1)
+
+
 def reference_restrict(targets, nodes):
     """graphs.restrict by a loop over the entries of the chosen rows."""
     where = {v: i for i, v in enumerate(nodes)}
@@ -474,6 +555,52 @@ def test_component_period_is_gcd_of_closed_walk_lengths(m):
         for block in strongly_connected_components(targets):
             sub = restrict(targets, block)
             assert component_period(sub) == (reference_period(sub) or 1)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines()))
+def test_traversal_matches_reference_tarjan_and_periods(m):
+    for targets in graph_tables(m):
+        assert_traversal_matches_references(targets)
+
+
+@pair_layer_settings
+@given(block_triangular_matrices())
+def test_radius_blocks_and_periods_on_reducible_periodic_matrices(A):
+    # the table spectral_radius reads: row a lists the b with A[a, b] > 0
+    _, cols = rates._canonical_tables(A.copy(), np.broadcast_to(np.arange(len(A)), A.shape))
+    assert_traversal_matches_references(cols.T)
+    handed = []  # per block iterated, whether it was handed its own period
+
+    def record(vals, cols, d, eps):
+        handed.append(d == reference_period(cols.T))
+        return 0.0
+
+    with mock.patch.object(rates, "_block_radius", record):
+        spectral_radius(A)
+    assert all(handed)
+
+
+@pytest.mark.parametrize("n, k", [(32, 2), (40, 3)])
+def test_traversal_matches_references_on_large_pair_graphs(n, k):
+    """The 992- and 1,560-pair graphs of exact ladder machines, as the pair
+    automaton and as the radius reads them; the closed-walk period would
+    take a thousand dense matrix products, so the BFS period stands in."""
+    m = parse_machine(gen.exact_spec(n, k, np.random.default_rng(1), "exact").text())
+    pa = build_pair_automaton(m)
+    assert pa.count == n * (n - 1)
+    _, cols = rates._canonical_tables(pa.weight, pa.delta2)
+    for targets in (pa.delta2, cols.T):
+        assert_traversal_matches_references(targets, exhaustive_period=False)
+
+
+def test_traversal_is_iterative_on_a_long_cycle():
+    n = 10**5
+    targets = np.roll(np.arange(n), -1)[:, None]
+    components, depth = tarjan(targets)
+    assert components == [list(range(n))]
+    assert depth == list(range(n))
+    assert labelled_period(targets, depth) == n
 
 
 @pair_layer_settings
