@@ -6,7 +6,10 @@ connected; every other (state, symbol) entry is undefined or a drawn
 target.  Equivalent states are allowed, since the pair layer does not
 depend on minimality.  The draws are derandomised, so every run checks the
 same machines.  The parser is checked on mutations of valid machine texts,
-and the spectral radius also on drawn reducible and periodic matrices.
+and the spectral radius also on drawn reducible and periodic matrices.  The
+one-pass traversal of `graphs.tarjan` is checked against a reference Tarjan
+on adjacency lists and breadth-first periods, on these graphs and on the
+pair graphs of 32- and 40-state exact machines.
 """
 
 import itertools
