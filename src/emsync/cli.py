@@ -165,6 +165,9 @@ def build_parser():
         default="human",
         help="report style: aligned table or tab-separated key/value lines",
     )
+    # the options of every command that reads a machine file, and the file
+    machine = argparse.ArgumentParser(add_help=False, parents=[common])
+    machine.add_argument("machine", help="machine file")
 
     parser = argparse.ArgumentParser(
         prog="emsync",
@@ -172,18 +175,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="parse and validate a machine file")
-    p.add_argument("machine", help="machine file")
+    p = sub.add_parser("validate", parents=[machine], help="parse and validate a machine file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("classify", parents=[common], help="exact or non-exact")
-    p.add_argument("machine", help="machine file")
+    p = sub.add_parser("classify", parents=[machine], help="exact or non-exact")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "sync-rate", parents=[common], help="synchronization rate constant (exact machines)"
+        "sync-rate", parents=[machine], help="synchronization rate constant (exact machines)"
     )
-    p.add_argument("machine", help="machine file")
     p.add_argument(
         "--eps", type=float, default=RATE_EPS, help="absolute accuracy (default %(default)g)"
     )
@@ -191,16 +191,14 @@ def build_parser():
 
     p = sub.add_parser(
         "pred-rate",
-        parents=[common],
+        parents=[machine],
         help="prediction rate constant, per-component drifts, escape rate",
     )
-    p.add_argument("machine", help="machine file")
     p.set_defaults(func=cmd_pred_rate)
 
     p = sub.add_parser(
-        "bounds", parents=[common], help="bounds on the non-synchronization probability"
+        "bounds", parents=[machine], help="bounds on the non-synchronization probability"
     )
-    p.add_argument("machine", help="machine file")
     p.add_argument("--length", type=int, required=True, help="word length")
     p.add_argument(
         "--oracle", action="store_true", help="also compute the exact value by enumeration"
@@ -214,9 +212,8 @@ def build_parser():
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser(
-        "simulate", parents=[common], help="Monte Carlo simulation of observer uncertainty"
+        "simulate", parents=[machine], help="Monte Carlo simulation of observer uncertainty"
     )
-    p.add_argument("machine", help="machine file")
     p.add_argument("--length", type=int, default=None, help="word length")
     p.add_argument(
         "--sweep",

@@ -10,6 +10,7 @@ module is what the test suite certifies.
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -202,22 +203,17 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
 
     endpoints = np.arange(n, dtype=np.int64)[None, :]
     logv = np.zeros((1, n))
-    trail = []  # per level: (parent row, symbol) for word reconstruction
+    trail = []  # per level, when words are kept: (parent row, symbol)
     for _ in range(length):
         parent, sym, endpoints, logv = _extend_level(delta_ext, logp_ext, endpoints, logv, np.add)
-        trail.append((parent, sym))
+        if keep_words:
+            trail.append((parent, sym))
 
     rows = endpoints.shape[0]
     log_pw, phi_end = _endpoint_posterior(np.log(stationary_distribution(m).pi), logv, endpoints)
     pw = np.exp(log_pw)
     nonreset = _distinct_live(endpoints, n) > 1
     q = np.where(nonreset, _residual_mass(phi_end), 0.0)
-
-    f_state = np.argmax(logv, axis=1)
-    other = endpoints != endpoints[np.arange(rows), f_state][:, None]
-    masked = np.where(other, logv, -np.inf)
-    s_state = np.argmax(masked, axis=1)
-    ratio = np.exp(masked[np.arange(rows), s_state] - logv[np.arange(rows), f_state])
 
     nsyn = float(pw[nonreset].sum())
     mean_q = float((pw * q).sum())
@@ -230,6 +226,11 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
 
     records = None
     if keep_words:
+        f_state = np.argmax(logv, axis=1)
+        other = endpoints != endpoints[np.arange(rows), f_state][:, None]
+        masked = np.where(other, logv, -np.inf)
+        s_state = np.argmax(masked, axis=1)
+        ratio = np.exp(masked[np.arange(rows), s_state] - logv[np.arange(rows), f_state])
         words = _reconstruct_words(trail, rows, length)
         records = []
         for r in range(rows):
@@ -400,7 +401,10 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
         raise InputError("length must be nonnegative")
     if seed < 0:
         raise InputError("seed must be nonnegative")
-    record_at = sorted(set(record_at or []))
+    try:
+        record_at = sorted({operator.index(step) for step in record_at or []})
+    except TypeError:
+        raise InputError("checkpoints must be integers") from None
     if record_at and (record_at[0] < 0 or record_at[-1] > length):
         raise InputError("checkpoints must lie within the simulated length")
 

@@ -40,28 +40,30 @@ def _canonical_tables(vals, cols):
 
     Per row, the distinct columns holding a positive value, in ascending
     order; the values of a repeated column are summed in table order, as
-    `chain_matrix` sums them.  Returned transposed, as (width, rows) arrays
-    padded with value 0 and column -1, width the most entries of any row:
-    a step then adds one contiguous vector per slot, where a sum along the
-    short row axis would run row by row.
+    `chain_matrix` sums them.  One stable sort of the keys row * rows +
+    column puts each (row, column) group in place with its repeats in
+    table order, `np.add.at` sums each group in that order, and an entry's
+    slot is its rank within its row.  Zero values are dropped first: the
+    values are nonnegative, and a zero adds nothing to a sum.  Returned
+    transposed, as (width, rows) arrays padded with value 0 and column -1,
+    width the most entries of any row: a step then adds one contiguous
+    vector per slot, where a sum along the short row axis would run row by
+    row.
     """
     rows = cols.shape[0]
-    key = np.where(cols >= 0, cols, rows)  # no entry sorts last
-    order = np.argsort(key, axis=1, kind="stable")
-    key = np.take_along_axis(key, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    last = np.ones(key.shape, dtype=bool)
-    for j in range(1, key.shape[1]):
-        run = key[:, j] == key[:, j - 1]
-        vals[run, j] += vals[run, j - 1]
-        last[run, j - 1] = False
-    keep = last & (key < rows) & (vals > 0)
-    r, j = np.nonzero(keep)
-    slot = (np.cumsum(keep, axis=1) - 1)[r, j]
-    out_vals = np.zeros((int(keep.sum(axis=1).max(initial=0)), rows))
+    r, j = np.nonzero((cols >= 0) & (vals > 0))
+    key = np.ravel_multi_index((r, cols[r, j]), (rows, rows))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0  # the first entry of each group
+    sums = np.zeros(int(first.sum()))
+    np.add.at(sums, np.cumsum(first) - 1, vals[r, j][order])
+    row, col = np.divmod(key[first], rows)
+    slot = np.arange(len(row)) - np.searchsorted(row, row)
+    out_vals = np.zeros((int(slot.max(initial=-1)) + 1, rows))
     out_cols = np.full(out_vals.shape, -1)
-    out_vals[slot, r] = vals[r, j]
-    out_cols[slot, r] = key[r, j]
+    out_vals[slot, row] = sums
+    out_cols[slot, row] = col
     return out_vals, out_cols
 
 
@@ -99,10 +101,10 @@ def _power_steps(vals, cols, d, x):
 
 def _steps_to_close(widths, eps):
     """Predicted number of further steps before a bracket narrows to eps,
-    from its widths after each step so far, all above eps: the geometric
-    contraction per step over the later half of the steps, extrapolated;
-    inf when the bracket did not narrow over that half.  Before 8 steps
-    there is no prediction, and the result is 0.
+    from its widths after each step so far: the geometric contraction per
+    step over the later half of the steps, extrapolated (0 or less once the
+    last width is at most eps); inf when the bracket did not narrow over
+    that half.  Before 8 steps there is no prediction, and the result is 0.
     """
     t = len(widths)
     if t < 8 or not widths[t // 2 - 1] < math.inf:
@@ -154,29 +156,34 @@ def _block_radius(vals, cols, d, eps):
     ConvergenceError with [lo, hi].  Power iteration runs at most b windows
     (dense, the work of one factorisation) and hands off to Noda iteration
     early once the bracket is predicted to need more than twice the windows
-    left (`_steps_to_close`); Noda stops at its first step that does not
-    narrow.  So both phases end without a step counter.
+    left (`_steps_to_close`) to narrow to the larger of eps and the block's
+    resolution; Noda stops at its first step that does not narrow.  So
+    both phases end without a step counter, and eps decides only when to
+    succeed: below the resolution, the path does not depend on it.
 
-    A bracket within rounding at the hand-off raises instead.  With u the
-    unit roundoff, one ratio pass sums w products per entry (error w u,
-    first order) and divides by x_i (u more): each ratio is within
-    (w + 1) u of exact, a window's within d (w + 1) u (the d-th root given
-    no credit).  x, rounded as much by the window before, spreads even the
-    exact ratios of the Perron vector by twice that either way (each is a
-    weighted mean of the perturbations less its own).  So each end lies
-    within 3 d (w + 1) u hi of rho from rounding alone, and a width of
-    6 d (w + 1) u hi or less may be noise that no step narrows.
+    The resolution is 6 d (w + 1) u hi, and a bracket within it at the
+    hand-off raises instead.  With u the unit roundoff, one ratio pass sums
+    w products per entry (error w u, first order) and divides by x_i (u
+    more): each ratio is within (w + 1) u of exact, a window's within
+    d (w + 1) u (the d-th root given no credit).  x, rounded as much by the
+    window before, spreads even the exact ratios of the Perron vector by
+    twice that either way (each is a weighted mean of the perturbations
+    less its own).  So each end lies within 3 d (w + 1) u hi of rho from
+    rounding alone, and a width within the resolution may be noise that no
+    step narrows.
     """
     b = cols.shape[1]
+    resolution = 6 * (vals.shape[0] + 1) * d * _UNIT_ROUNDOFF  # times hi
     lo, hi, widths = 0.0, math.inf, []
     for step_lo, step_hi, x in _power_steps(vals, cols, d, np.full(b, 1.0 / b)):
         lo, hi = max(lo, step_lo), min(hi, step_hi)
         if hi - lo <= eps:
             return 0.5 * (lo + hi)
         widths.append(hi - lo)
-        if len(widths) == b or _steps_to_close(widths, eps) > 2 * (b - len(widths)):
+        target = max(eps, resolution * hi)
+        if len(widths) == b or _steps_to_close(widths, target) > 2 * (b - len(widths)):
             break
-    if hi - lo <= 6 * (vals.shape[0] + 1) * d * _UNIT_ROUNDOFF * hi:
+    if hi - lo <= resolution * hi:
         raise ConvergenceError("radius bracket is at floating-point resolution", bracket=(lo, hi))
     for step_lo, step_hi in _noda_steps(vals, cols, x):
         lo, hi = max(lo, step_lo), min(hi, step_hi)

@@ -461,5 +461,8 @@ class TestSimulateBeliefs:
             simulate_beliefs(ref_ne, -1, 10, seed=1)
         with pytest.raises(InputError):
             simulate_beliefs(ref_ne, 5, 10, seed=1, record_at=[7])
+        # a checkpoint that is no step would be left out of q_at
+        with pytest.raises(InputError, match="checkpoint"):
+            simulate_beliefs(ref_ne, 10, 5, seed=0, record_at=[2.5, 3])
         with pytest.raises(InputError, match="seed"):
             simulate_beliefs(ref_ne, 3, 10, seed=-1)

@@ -7,6 +7,8 @@ target.  Equivalent states are allowed, since the pair layer does not
 depend on minimality.  The draws are derandomised, so every run checks the
 same machines.  The parser is checked on mutations of valid machine texts,
 and the spectral radius also on drawn reducible and periodic matrices.  The
+radius's canonical tables are checked against a per-row reference on drawn
+raw tables with repeated columns and zeros, and on pair tables.  The
 one-pass traversal of `graphs.tarjan` is checked against a reference Tarjan
 on adjacency lists and breadth-first periods, on these graphs and on the
 pair graphs of 32- and 40-state exact machines.
@@ -165,6 +167,40 @@ def block_triangular_matrices(draw):
     return A[np.ix_(order, order)] / 10.0
 
 
+VALUES = [0.0, -0.0, 5e-324, 1e-300, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 0.7, 1.0, 3.0]
+
+
+@st.composite
+def raw_tables(draw):
+    """(rows, w) value and column tables as `spectral_radius` may receive
+    them, 0 to 8 rows.  Either dense (row a lists every column once, as
+    `np.arange` columns) or drawn: each row is empty (-1 throughout), or
+    holds drawn columns from -1 on, or up to 12 copies of one column among
+    them.  Values are drawn from zeros, -0.0, tiny and ordinary numbers, and
+    some rows are all zeros."""
+    rows = draw(st.integers(0, 8))
+    if rows and draw(st.booleans()):
+        cols = np.broadcast_to(np.arange(rows), (rows, rows))
+    else:
+        width = draw(st.integers(0, 14))
+        cols = np.full((rows, width), -1)
+        for r in range(rows):
+            kind = draw(st.sampled_from(["empty", "drawn", "repeat"]))
+            if kind != "empty":
+                cols[r] = draw(st.lists(st.integers(-1, rows - 1), min_size=width, max_size=width))
+            if kind == "repeat" and width:
+                copies = draw(st.integers(1, min(12, width)))
+                at = draw(st.permutations(range(width)))[:copies]
+                cols[r, at] = draw(st.integers(0, rows - 1))
+    vals = np.array(
+        [[draw(st.sampled_from(VALUES)) for _ in range(cols.shape[1])] for _ in range(rows)]
+    ).reshape(cols.shape)
+    for r in range(rows):
+        if draw(st.integers(0, 4)) == 0:
+            vals[r] = 0.0
+    return vals, cols
+
+
 REFERENCE_TEXTS = [
     path.read_text(encoding="utf-8")
     for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "machines").glob("*.em"))
@@ -211,6 +247,30 @@ def mutated_machine_texts(draw):
         else:
             lines[where] = [replacement() for _ in range(place.randint(0, 6))]
     return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def reference_canonical_tables(vals, cols):
+    """The canonical tables by a per-row stable sort and a running sum
+    slot by slot: a repeated column accumulates in table order, and only
+    the last of its run, if positive, is kept."""
+    rows = cols.shape[0]
+    key = np.where(cols >= 0, cols, rows)  # no entry sorts last
+    order = np.argsort(key, axis=1, kind="stable")
+    key = np.take_along_axis(key, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    last = np.ones(key.shape, dtype=bool)
+    for j in range(1, key.shape[1]):
+        run = key[:, j] == key[:, j - 1]
+        vals[run, j] += vals[run, j - 1]
+        last[run, j - 1] = False
+    keep = last & (key < rows) & (vals > 0)
+    r, j = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=1) - 1)[r, j]
+    out_vals = np.zeros((int(keep.sum(axis=1).max(initial=0)), rows))
+    out_cols = np.full(out_vals.shape, -1)
+    out_vals[slot, r] = vals[r, j]
+    out_cols[slot, r] = key[r, j]
+    return out_vals, out_cols
 
 
 def reference_pair_arrays(m):
@@ -565,6 +625,23 @@ def test_component_period_is_gcd_of_closed_walk_lengths(m):
 def test_traversal_matches_reference_tarjan_and_periods(m):
     for targets in graph_tables(m):
         assert_traversal_matches_references(targets)
+
+
+def pair_tables(m):
+    pa = build_pair_automaton(m)
+    return pa.weight, pa.delta2
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    st.one_of(raw_tables(), machines().map(pair_tables), permutation_machines().map(pair_tables))
+)
+def test_canonical_tables_match_reference(tables):
+    vals, cols = tables
+    pairs = zip(rates._canonical_tables(vals, cols), reference_canonical_tables(vals, cols))
+    for got, want in pairs:
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 @pair_layer_settings

@@ -26,7 +26,7 @@ from emsync import (
 )
 from emsync import rates
 from emsync.machine import EpsilonMachine, parse_machine
-from perfbench import gen
+from perfbench import gen, workloads
 
 SRC_EX = 0.3535533905932738  # sqrt(1/8)
 E_NE = 0.186538595978474
@@ -364,6 +364,19 @@ class TestSyncRate:
         with pytest.raises(ConvergenceError, match="resolution"):
             sync_rate(m, eps=1e-300)
         assert solve_calls == []
+
+    def test_eps_below_resolution_ends_on_one_bracket(self):
+        # eps only decides success: below a block's resolution the hand-off
+        # aims at the resolution, so 1e-16 and 1e-300 take one path
+        for text in dict.fromkeys(spec.text() for spec in workloads.ExactLadder().specs(1)):
+            m = parse_machine(text)
+            ends = []
+            for eps in (1e-16, 1e-300):
+                try:
+                    ends.append(sync_rate(m, eps))
+                except ConvergenceError as exc:
+                    ends.append(exc.bracket)
+            assert ends[0] == ends[1], m.name
 
     @pytest.mark.parametrize("n", [17, 24, 32, 40])
     def test_cerny_machines_match_eigenvalues(self, n, solve_calls, step_calls):
