@@ -1,9 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the integer-argument check that raises
+InputError.
 
 The CLI exits with the `exit_code` of the error it catches: machine/input
 problems exit 2, resource and generation failures exit 3, and every other
 error (violated analysis preconditions, numerical failures) exits 1.
 """
+
+import operator
 
 
 class EmsyncError(Exception):
@@ -56,6 +59,19 @@ class InputError(EmsyncError):
     """An operation received an argument outside its domain."""
 
     exit_code = 2
+
+
+def nonnegative_integer(value, name):
+    """value as an int, read with `operator.index` so that a float is
+    refused rather than truncated; InputError unless it is a nonnegative
+    integer."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer") from None
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative")
+    return value
 
 
 class ImpossibleWordError(InputError):

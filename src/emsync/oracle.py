@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .errors import ImpossibleWordError, InputError, ResourceError
+from .errors import ImpossibleWordError, InputError, ResourceError, nonnegative_integer
 from .machine import PROB_TOL, stationary_distribution
 from .pairs import build_pair_automaton, mergeable_pairs
 
@@ -189,8 +189,7 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     state.  The enumeration costs about L * |symbols|**L path steps and is
     refused up front when that exceeds the budget.
     """
-    if length < 0:
-        raise InputError("length must be nonnegative")
+    length = nonnegative_integer(length, "length")
     if budget < 0:
         raise InputError("budget must be nonnegative")
     n, k = m.n, m.k
@@ -269,8 +268,7 @@ def nonreset_profile(m, max_length, budget=10**7):
     entry [L, p] the probability that a word emitted from p after L steps
     leaves more than one live image state, and its stationary mixture.
     """
-    if max_length < 0:
-        raise InputError("max_length must be nonnegative")
+    max_length = nonnegative_integer(max_length, "max_length")
     if budget < 0:
         raise InputError("budget must be nonnegative")
     n, k = m.n, m.k
@@ -397,8 +395,7 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     """
     if runs < 1:
         raise InputError("runs must be at least 1")
-    if length < 0:
-        raise InputError("length must be nonnegative")
+    length = nonnegative_integer(length, "length")
     if seed < 0:
         raise InputError("seed must be nonnegative")
     try:

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import restrict, strongly_connected_components
+from .graphs import restrict, tarjan
 
 
 class PairAutomaton:
@@ -67,39 +67,74 @@ def build_pair_automaton(m):
 
 
 class DeadlockAnalysis:
-    """Split of the pair set into mergeable and deadlock pairs, and the
-    closed strongly connected components of the deadlock part.
+    """Structure of the pair graph: the split of the pairs into mergeable
+    and deadlock pairs, and the closed strongly connected components of the
+    deadlock part.
 
     pa : the PairAutomaton analysed.
-    mask : (m,) bool row mask, True on mergeable pairs.
+    seeds : (m,) bool row mask, True on pairs that one symbol collapses:
+        both states map to the same state, or the symbol is defined at
+        exactly one of the two (the set image shrinks to a singleton
+        either way).
+    mask : (m,) bool row mask, True on mergeable pairs, those that reach a
+        seed.
+    scc : (blocks, depth) of one Tarjan pass over the pair graph
+        (`graphs.tarjan`).
     component_rows : rows of each closed deadlock component, ordered by
         their smallest member, members sorted.
     components : component_rows as tuples of (p, q) pairs.
     mergeable, deadlock : frozensets of the (p, q) pairs on either side of
         the mask.
-    All but pa and mask are computed on first use.
+    All but pa and seeds are computed on first use: the rates read scc and
+    component_rows (and mask only for the error of `sync_rate` on a
+    non-exact machine), `classify` and `simulate_beliefs` only mask.
     """
 
-    def __init__(self, pa, mask):
+    def __init__(self, pa):
         self.pa = pa
-        self.mask = mask
+        tp, tq = pa.machine.delta[pa.pairs.T]
+        self.seeds = (((tp >= 0) & (tp == tq)) | ((tp >= 0) != (tq >= 0))).any(axis=1)
+
+    @cached_property
+    def mask(self):
+        """Backward closure of the seeds over the pair moves."""
+        pa = self.pa
+        # predecessor lists of the pair graph in CSR form
+        sources, symbols = np.nonzero(pa.delta2 >= 0)
+        targets = pa.delta2[sources, symbols]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=pa.count))]).tolist()
+        preds = sources[np.argsort(targets, kind="stable")].tolist()
+        merged = self.seeds.tolist()
+        stack = np.flatnonzero(self.seeds).tolist()
+        while stack:
+            t = stack.pop()
+            for r in preds[indptr[t] : indptr[t + 1]]:
+                if not merged[r]:
+                    merged[r] = True
+                    stack.append(r)
+        return np.array(merged, dtype=bool)
+
+    @cached_property
+    def scc(self):
+        return tarjan(self.pa.delta2)
 
     @cached_property
     def component_rows(self):
-        """Deadlock pairs are closed under defined moves, so every pair
-        transition out of a deadlock pair stays in the deadlock set;
-        components that still have an edge to a different component are
-        transient and dropped."""
-        dead_rows = np.flatnonzero(~self.mask)
-        moves = self.pa.moves_within(dead_rows)
-        comps = strongly_connected_components(moves)
-        label = np.empty(dead_rows.size, dtype=np.int64)
-        for c, comp in enumerate(comps):
-            label[comp] = c
-        leaves = ((moves >= 0) & (label[moves] != label[:, None])).any(axis=1)
-        rows = [dead_rows[comp] for comp in comps if not leaves[comp].any()]
-        rows.sort(key=lambda comp_rows: comp_rows[0])
-        return rows
+        """The blocks that hold no seed and that no move leaves.  A block
+        that no move leaves reaches only itself, so it is deadlock exactly
+        when it holds no seed.  Deadlock pairs move only to deadlock pairs
+        (a move to a mergeable pair would merge), so a closed component of
+        the deadlock subgraph is such a block of the whole graph.  Every
+        pair reaches some block that no move leaves, so a machine is exact
+        exactly when there is none."""
+        blocks, _ = self.scc
+        label = np.empty(self.pa.count, dtype=np.int64)
+        for c, block in enumerate(blocks):
+            label[block] = c
+        leaves = ((self.pa.delta2 >= 0) & (label[self.pa.delta2] != label[:, None])).any(axis=1)
+        closed = np.bincount(label, weights=leaves | self.seeds, minlength=len(blocks)) == 0
+        # blocks are disjoint sorted lists: in list order, by smallest member
+        return [np.array(block) for block in sorted(blocks[c] for c in np.flatnonzero(closed))]
 
     @cached_property
     def components(self):
@@ -121,30 +156,9 @@ class DeadlockAnalysis:
 
 
 def mergeable_pairs(pa):
-    """Classify every ordered pair as mergeable or deadlock.
-
-    Seeds are pairs that a single symbol already collapses: both states map
-    to the same state, or the symbol is defined at exactly one of the two
-    (the set image shrinks to a singleton either way).  Backward closure
-    over pair transitions then adds every pair that can reach a seed.
-    """
-    tp = pa.machine.delta[pa.pairs[:, 0]]
-    tq = pa.machine.delta[pa.pairs[:, 1]]
-    mask = (((tp >= 0) & (tp == tq)) | ((tp >= 0) != (tq >= 0))).any(axis=1)
-    # predecessor lists of the pair graph in CSR form
-    sources, symbols = np.nonzero(pa.delta2 >= 0)
-    targets = pa.delta2[sources, symbols]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=pa.count))]).tolist()
-    preds = sources[np.argsort(targets, kind="stable")].tolist()
-    merged = mask.tolist()
-    stack = np.flatnonzero(mask).tolist()
-    while stack:
-        t = stack.pop()
-        for r in preds[indptr[t] : indptr[t + 1]]:
-            if not merged[r]:
-                merged[r] = True
-                stack.append(r)
-    return DeadlockAnalysis(pa, np.array(merged, dtype=bool))
+    """Classify every ordered pair as mergeable or deadlock: the analysis
+    of `pa`, whose mask is the backward closure of the one-symbol seeds."""
+    return DeadlockAnalysis(pa)
 
 
 def deadlock_components(da, pa):

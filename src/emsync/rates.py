@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, PreconditionError
+from .errors import ConvergenceError, InputError, PreconditionError, nonnegative_integer
 from .graphs import is_strongly_connected, labelled_period, restrict, tarjan
 from .machine import chain_matrix, solve_stationary, stationary_distribution
 from .pairs import build_pair_automaton, deadlock_analysis
@@ -201,17 +201,10 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     entries sharing a column add up (the matrix `chain_matrix` builds).
     The support graph is condensed into strongly connected blocks by one
     Tarjan pass (`graphs.tarjan`), whose depths also give each block's
-    period.  Every node v of a block descends, in the depth-first forest,
-    from the block's first-visited node r, and the tree path from r to v
-    stays in the block (each node on it is reached from r and reaches v,
-    which reaches r).  So depth - depth[r] labels the block by path lengths
-    from r, and the gcd of |depth[u] + 1 - depth[v]| over the block's edges
-    is its period (`graphs.labelled_period`; depth[r] cancels).  Each block
-    runs certified bracketed iteration (power iteration handing off to
-    Noda iteration, which alone builds the dense block), and the maximum
-    block value is returned.  A zero matrix gives 0.  eps must be a
-    positive finite number; one below a block's floating-point resolution
-    raises ConvergenceError with that block's bracket.
+    period, and `_radius_of_blocks` returns the largest block radius.  A
+    zero matrix gives 0.  eps must be a positive finite number; one below
+    the floating-point resolution of the block that sets the radius raises
+    ConvergenceError with that block's bracket.
     """
     vals = np.asarray(mat, dtype=float)
     if columns is None:
@@ -224,18 +217,34 @@ def spectral_radius(mat, eps=1e-10, columns=None):
             raise InputError("columns must be an integer table shaped like the values")
         if not ((cols >= -1) & (cols < vals.shape[0])).all():
             raise InputError("columns must lie between -1 and the row count - 1")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise InputError("eps must be a positive finite number")
-    n = vals.shape[0]
-    if n == 0:
-        return 0.0
     if not (np.isfinite(vals).all() and (vals >= 0).all()):
         raise InputError("matrix entries must be finite and nonnegative")
     vals, cols = _canonical_tables(vals, cols)
-    self_loops = np.where(cols == np.arange(n), vals, 0.0).sum(axis=0).tolist()
-    value = 0.0
-    blocks, depth = tarjan(cols.T)
-    depth = np.array(depth)
+    return _radius_of_blocks(vals, cols, *tarjan(cols.T), eps)
+
+
+def _radius_of_blocks(vals, cols, blocks, depth, eps):
+    """Largest spectral radius, within eps, over `blocks` of the matrix in
+    canonical (w, n) tables, given the strongly connected blocks of its
+    support graph and the depths of a depth-first forest that found them.
+
+    Every node v of a block descends, in that forest, from the block's
+    first-visited node r, and the tree path from r to v stays in the block
+    (each node on it is reached from r and reaches v, which reaches r).  So
+    depth - depth[r] labels the block by path lengths from r, and the gcd
+    of |depth[u] + 1 - depth[v]| over the block's edges is its period
+    (`graphs.labelled_period`; depth[r] cancels).  Each block runs
+    certified bracketed iteration (power iteration handing off to Noda
+    iteration, which alone builds the dense block).  A block that raises
+    ConvergenceError is set aside: its bracket holds its radius, so when
+    its upper end lies below the largest block value less eps/2 the block
+    does not set the radius.  Otherwise the failure with the largest upper
+    end is raised, whatever the block order.  No block gives 0.
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise InputError("eps must be a positive finite number")
+    self_loops = np.where(cols == np.arange(cols.shape[1]), vals, 0.0).sum(axis=0).tolist()
+    value, failures = 0.0, []
     for block in blocks:
         if len(block) == 1:
             value = max(value, self_loops[block[0]])
@@ -243,8 +252,13 @@ def spectral_radius(mat, eps=1e-10, columns=None):
         targets = restrict(cols.T, block)
         sub_cols = targets.T.copy()
         sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
-        d = labelled_period(targets, depth[block])
-        value = max(value, _block_radius(sub_vals, sub_cols, d, eps))
+        d = labelled_period(targets, [depth[v] for v in block])
+        try:
+            value = max(value, _block_radius(sub_vals, sub_cols, d, eps))
+        except ConvergenceError as exc:
+            failures.append(exc)
+    if failures and not max(exc.bracket[1] for exc in failures) < value - eps / 2:
+        raise max(failures, key=lambda exc: exc.bracket[1])
     return value
 
 
@@ -257,7 +271,7 @@ def sync_rate(m, eps=RATE_EPS):
     exact.
     """
     pa, da = deadlock_analysis(m)
-    if not da.mask.all():
+    if da.component_rows:
         p, q = pa.pair(np.argmin(da.mask))
         raise PreconditionError(
             f"machine is not exact: state pair ({m.states[p]}, {m.states[q]}) never merges"
@@ -295,12 +309,11 @@ def nsyn_bounds(m, length):
     v <- sum_j weight[:, j] * v[delta2[:, j]] from the all-ones vector,
     O(m k) each: `_step` on the transposed tables (undefined moves carry
     weight 0)."""
-    if length < 0:
-        raise InputError("length must be nonnegative")
+    length = nonnegative_integer(length, "length")
     pa = build_pair_automaton(m)
     vals, cols = pa.weight.T.copy(), pa.delta2.T.copy()
     v = np.ones(pa.count)
-    for _ in range(int(length)):
+    for _ in range(length):
         v = _step(vals, cols, v)
     totals = np.zeros(m.n)
     maxima = np.zeros(m.n)
@@ -480,12 +493,21 @@ def _drifts(pa, da):
 def _surviving_radius(da, eps):
     """Spectral radius of the summed pair matrix restricted to the pairs
     outside every closed deadlock component (every pair when there is
-    none).  Transient deadlock pairs stay in the restriction."""
-    pa = da.pa
-    rows = np.arange(pa.count)
-    if da.component_rows:
-        rows = np.delete(rows, np.concatenate(da.component_rows))
-    return spectral_radius(pa.weight[rows], eps, columns=pa.moves_within(rows))
+    none).  Transient deadlock pairs stay in the restriction.  Its blocks
+    are those of the analysis's one Tarjan pass (`da.scc`) less the closed
+    components: every stored probability is positive, so the canonical
+    tables of the pair operator have the pair graph's edges, and a block
+    cut from them has the entries it has in the restriction, in the same
+    order, plus zero slots where a move enters a closed component.  The
+    closed components' rows are zeroed, so that the canonical sort skips
+    them.
+    """
+    closed = np.zeros(da.pa.count, dtype=bool)
+    for rows in da.component_rows:
+        closed[rows] = True
+    vals, cols = _canonical_tables(np.where(closed[:, None], 0.0, da.pa.weight), da.pa.delta2)
+    blocks, depth = da.scc
+    return _radius_of_blocks(vals, cols, [b for b in blocks if not closed[b[0]]], depth, eps)
 
 
 def prediction_rate(m):

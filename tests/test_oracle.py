@@ -200,6 +200,8 @@ class TestExactWordStats:
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):
             exact_word_stats(ref_ex, -2)
+        with pytest.raises(InputError, match="length must be an integer"):
+            exact_word_stats(ref_ex, 2.5)
 
     def test_negative_budget(self, ref_ex):
         # a length-0 enumeration needs 0 steps, so only the sign can refuse it
@@ -291,6 +293,8 @@ class TestNonresetProfile:
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):
             nonreset_profile(ref_ex, -1)
+        with pytest.raises(InputError, match="max_length must be an integer"):
+            nonreset_profile(ref_ex, 2.5)
 
     def test_negative_budget(self, ref_ex):
         with pytest.raises(InputError, match="budget"):
@@ -459,6 +463,8 @@ class TestSimulateBeliefs:
             simulate_beliefs(ref_ne, 5, 0, seed=1)
         with pytest.raises(InputError):
             simulate_beliefs(ref_ne, -1, 10, seed=1)
+        with pytest.raises(InputError, match="length must be an integer"):
+            simulate_beliefs(ref_ne, 2.5, 10, seed=1)
         with pytest.raises(InputError):
             simulate_beliefs(ref_ne, 5, 10, seed=1, record_at=[7])
         # a checkpoint that is no step would be left out of q_at

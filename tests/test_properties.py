@@ -11,7 +11,10 @@ radius's canonical tables are checked against a per-row reference on drawn
 raw tables with repeated columns and zeros, and on pair tables.  The
 one-pass traversal of `graphs.tarjan` is checked against a reference Tarjan
 on adjacency lists and breadth-first periods, on these graphs and on the
-pair graphs of 32- and 40-state exact machines.
+pair graphs of 32- and 40-state exact machines.  The closed components
+that the deadlock analysis reads off its one pass over the pair graph are
+checked against the mutual-reachability classes of deadlock pairs that no
+move leaves.
 """
 
 import itertools
@@ -625,6 +628,25 @@ def test_component_period_is_gcd_of_closed_walk_lengths(m):
 def test_traversal_matches_reference_tarjan_and_periods(m):
     for targets in graph_tables(m):
         assert_traversal_matches_references(targets)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines(), split_symbol_machines()))
+def test_closed_components_are_closed_deadlock_classes(m):
+    # the analysis reads its components off one Tarjan pass over the whole
+    # pair graph; the reference is the mutual-reachability classes of
+    # deadlock rows that no move leaves
+    pa = build_pair_automaton(m)
+    da = mergeable_pairs(pa)
+    reach = reachability(pa.delta2)
+    expected = set()
+    for r in np.flatnonzero(~reference_mergeable(m)):
+        cls = np.flatnonzero(reach[r] & reach[:, r])
+        moves = pa.delta2[cls]
+        if np.isin(moves[moves >= 0], cls).all():
+            expected.add(tuple(cls.tolist()))
+    assert [rows.tolist() for rows in da.component_rows] == [list(c) for c in sorted(expected)]
+    assert da.scc[0] == strongly_connected_components(pa.delta2)
 
 
 def pair_tables(m):

@@ -1,6 +1,7 @@
 """Rate constants: pair matrices, spectral radius, synchronization and
 prediction rates, sandwich bounds, drift expectations, escape rate."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -24,8 +25,9 @@ from emsync import (
     spectral_radius,
     sync_rate,
 )
-from emsync import rates
+from emsync import graphs, pairs, rates
 from emsync.machine import EpsilonMachine, parse_machine
+from emsync.rates import RATE_EPS
 from perfbench import gen, workloads
 
 SRC_EX = 0.3535533905932738  # sqrt(1/8)
@@ -147,6 +149,63 @@ def chain_matrix_calls(monkeypatch):
 
     monkeypatch.setattr(rates, "chain_matrix", counting)
     return calls
+
+
+@pytest.fixture
+def tarjan_rows(monkeypatch):
+    """Node counts of the graphs handed to `graphs.tarjan`, by any module."""
+    calls = []
+    traverse = graphs.tarjan
+
+    def counting(targets):
+        calls.append(len(targets))
+        return traverse(targets)
+
+    for module in (graphs, pairs, rates):
+        monkeypatch.setattr(module, "tarjan", counting, raising=False)
+    return calls
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """Every DeadlockAnalysis built."""
+    made = []
+    init = pairs.DeadlockAnalysis.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(pairs.DeadlockAnalysis, "__init__", recording)
+    return made
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("entry", [rate_report, sync_rate, escape_rate, prediction_rate])
+    def test_rate_runs_one_tarjan_pass_and_no_closure(self, entry, ref_ex, tarjan_rows, analyses):
+        # the blocks of one pass give the closed components and the escape
+        # radius; only a reader of the mask runs the backward closure
+        for m in (ref_ex, cycle_machine(12, 3, seed=1)):
+            tarjan_rows.clear()
+            analyses.clear()
+            entry(m)
+            assert tarjan_rows == [m.n * (m.n - 1)]
+            (da,) = analyses
+            assert "mask" not in vars(da)
+
+    @pytest.mark.parametrize("entry", [rate_report, sync_rate, escape_rate, prediction_rate])
+    def test_non_exact_rate_runs_one_tarjan_pass(self, entry, trans_machine, tarjan_rows):
+        # sync_rate refuses the machine after the pass (test_non_exact_is_rejected)
+        with contextlib.suppress(PreconditionError):
+            entry(trans_machine)
+        assert tarjan_rows == [trans_machine.n * (trans_machine.n - 1)]
+
+    def test_classify_runs_the_closure_and_no_tarjan_pass(
+        self, ref_ex, trans_machine, tarjan_rows, analyses
+    ):
+        assert (classify(ref_ex), classify(trans_machine)) == ("exact", "non-exact")
+        assert tarjan_rows == []
+        assert all("mask" in vars(da) for da in analyses)
 
 
 class TestPairMatrix:
@@ -378,6 +437,22 @@ class TestSyncRate:
                     ends.append(exc.bracket)
             assert ends[0] == ends[1], m.name
 
+    def test_eps_below_resolution_keeps_the_default_radius(self, exact_corpus, mixed_corpus):
+        # a block that stops below resolution does not hide the one that sets
+        # the radius: each eps returns the default value, or raises with a
+        # bracket that holds it
+        for m in exact_corpus + mixed_corpus:
+            _, da = deadlock_analysis(m)
+            want = rates._surviving_radius(da, RATE_EPS)
+            for eps in (1e-16, 1e-300):
+                try:
+                    value = rates._surviving_radius(da, eps)
+                except ConvergenceError as exc:
+                    lo, hi = exc.bracket
+                    assert lo - RATE_EPS <= want <= hi + RATE_EPS, (m.name, eps)
+                else:
+                    assert abs(value - want) <= RATE_EPS, (m.name, eps)
+
     @pytest.mark.parametrize("n", [17, 24, 32, 40])
     def test_cerny_machines_match_eigenvalues(self, n, solve_calls, step_calls):
         m = cerny_machine(n)
@@ -442,6 +517,8 @@ class TestNsynBounds:
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):
             nsyn_bounds(ref_ex, -1)
+        with pytest.raises(InputError, match="length must be an integer"):
+            nsyn_bounds(ref_ex, 2.5)
 
     def test_row_sums_match_matrix_power(self):
         m = random_machine(4, 3, seed=11)
