@@ -9,6 +9,7 @@ module is what the test suite certifies.
 """
 
 import functools
+import itertools
 import math
 import operator
 
@@ -38,14 +39,21 @@ def _extend_level(delta_ext, table_ext, states, values, combine):
     dead) extended by every symbol in (row, symbol) order, all-dead rows
     dropped.  `values` (rows, n) is combined with table_ext at the step
     taken: np.add for log-probabilities, np.multiply for probabilities.
-    Returns the parent row, symbol, states and values of the kept rows."""
+    Returns the parent row, symbol, states and values of the kept rows.
+
+    Both tables are read flat at state·k + symbol, and rows are gathered
+    with `take`: on arrays this small, numpy's fancy indexing costs several
+    times more."""
     dead, k = delta_ext.shape[0] - 1, delta_ext.shape[1]
-    parent, sym = np.divmod(np.arange(states.shape[0] * k), k)
-    new_states = delta_ext[states[parent], sym[:, None]]
-    keep = np.flatnonzero((new_states != dead).any(axis=1))
-    parent, sym = parent[keep], sym[keep]
-    new_values = combine(values[parent], table_ext[states[parent], sym[:, None]])
-    return parent, sym, new_states[keep], new_values
+    rows, n = states.shape
+    index = ((states * k)[:, None, :] + np.arange(k)[None, :, None]).reshape(rows * k, n)
+    new_states = delta_ext.take(index)
+    # a row is live where its smallest state is; column by column, as in
+    # _endpoint_posterior
+    keep = np.flatnonzero(functools.reduce(np.minimum, new_states.T) < dead)
+    parent, sym = np.divmod(keep, k)
+    new_values = combine(values.take(parent, axis=0), table_ext.take(index.take(keep, axis=0)))
+    return parent, sym, new_states.take(keep, axis=0), new_values
 
 
 # -- belief tracking ---------------------------------------------------------
@@ -293,12 +301,27 @@ def nonreset_profile(m, max_length, budget=10**7):
         _, _, new_actions, new_weights = _extend_level(
             delta_ext, probs_ext, actions, weights, np.multiply
         )
-        actions, inverse = np.unique(new_actions, axis=0, return_inverse=True)
+        actions, inverse = _unique_rows(new_actions)
         weights = np.zeros((actions.shape[0], n))
-        np.add.at(weights, inverse.ravel(), new_weights)
+        np.add.at(weights, inverse, new_weights)
     pi = stationary_distribution(m).pi
     by_state.flags.writeable = False
     return by_state, by_state @ pi
+
+
+def _unique_rows(table):
+    """The distinct rows of an integer table in lexicographic order, and
+    each row's index among them: what np.unique(table, axis=0,
+    return_inverse=True) gives, from one lexsort of the columns (the first
+    column is the primary key) and one comparison of each sorted row with
+    the row before it."""
+    order = np.lexsort(table.T[::-1])
+    ordered = table.take(order, axis=0)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered.take(np.flatnonzero(first), axis=0), inverse
 
 
 def _distinct_live(actions, n):
@@ -319,8 +342,8 @@ def reset_threshold(m, cap=None):
     raises a resource error; None is returned only when the subset graph is
     exhausted, which certifies that no reset word exists.
     """
-    if cap is not None and cap < 0:
-        raise InputError("cap must be nonnegative")
+    if cap is not None:
+        cap = nonnegative_integer(cap, "cap")
     n, k = m.n, m.k
     full = (1 << n) - 1
     if n == 1:
@@ -393,11 +416,14 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     also gives the averaged log-likelihood ratio between the run's start
     state and each of its deadlock partners.
     """
+    try:
+        runs = operator.index(runs)
+    except TypeError:
+        raise InputError("runs must be an integer") from None
     if runs < 1:
         raise InputError("runs must be at least 1")
     length = nonnegative_integer(length, "length")
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
+    seed = nonnegative_integer(seed, "seed")
     try:
         record_at = sorted({operator.index(step) for step in record_at or []})
     except TypeError:
@@ -413,32 +439,43 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     # the one it picks; +inf from the last live outcome on means that a sum
     # rounded below 1 cannot let u pass every outcome
     start_cum = np.append(np.cumsum(pi)[:-1], np.inf)
-    cum = np.cumsum(m.probs, axis=1).T  # row j: each state's P(symbol <= j)
+    # row j: each state's P(symbol <= j), contiguous for the per-step gathers
+    cum = np.ascontiguousarray(np.cumsum(m.probs, axis=1).T)
     last_live = k - 1 - np.argmax(m.probs[:, ::-1] > 0, axis=1)
     cum[np.arange(k)[:, None] >= last_live] = np.inf
 
     start = (rng.random(runs)[:, None] >= start_cum[None, :]).sum(axis=1)
-    shadow = np.tile(np.arange(n, dtype=np.int64), (runs, 1))
+    # both tables are read flat at state·k + symbol, so the shadow keeps
+    # state·k and a step is one index and two gathers
+    delta_k = delta_ext.ravel() * k
+    shadow = np.tile(np.arange(n, dtype=np.int64) * k, (runs, 1))
+    current = start  # the true state: its moves are live
     logw = np.zeros((runs, n))
     q_at = {}
     for step in range(length + 1):
         if step > 0:
-            current = shadow[np.arange(runs), start]  # the true state: its moves are live
             u = rng.random(runs)
-            # count the thresholds passed, column by column and as integers
-            # (np.add of two boolean arrays is a logical or)
-            sym = functools.reduce(np.add, (u >= c[current] for c in cum), 0)
-            logw += logp_ext[shadow, sym[:, None]]
-            shadow = delta_ext[shadow, sym[:, None]]
+            # count the thresholds passed, column by column and as integers;
+            # the last column is +inf, so no draw passes it
+            sym = np.zeros(runs, dtype=np.int64)
+            for c in cum[:-1]:
+                sym += u >= c.take(current)
+            current = delta_ext.take(current * k + sym)
+            index = shadow + sym[:, None]
+            logw += logp_ext.take(index)
+            shadow = delta_k.take(index)
         if step in record_at or step == length:
-            q_at[step] = _residual_mass(_endpoint_posterior(np.log(pi), logw, shadow)[1])
+            q_at[step] = _residual_mass(_endpoint_posterior(np.log(pi), logw, shadow // k)[1])
 
     q_values = q_at[length] if length in record_at else q_at.pop(length)
 
     pa = build_pair_automaton(m)
     deadlock = pa.pairs[~mergeable_pairs(pa).mask].tolist() if length > 0 else []
     # deadlock pairs are in lexicographic order: grouped by start state
-    pieces = [(logw[start == p, p] - logw[start == p, q]) / length for p, q in deadlock]
+    pieces = []
+    for p, group in itertools.groupby(deadlock, key=operator.itemgetter(0)):
+        own = logw[start == p]
+        pieces += [(own[:, p] - own[:, q]) / length for _, q in group]
     y_values = np.concatenate(pieces) if pieces else np.zeros(0)
 
     for a in (start, q_values, y_values):

@@ -4,6 +4,7 @@ aggregated word actions, reset threshold, and Monte Carlo simulation."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,12 +47,71 @@ SIMULATION_SHA256 = {
 }
 
 
+# sha256 of enumeration_digest (WordStats fields and records at several
+# lengths) and of profile_digest (both nonreset_profile arrays), pinned so
+# that a change to the level walk or to the action dedupe shows; same
+# machines as SIMULATION_SHA256
+ENUMERATION_SHA256 = {
+    "M_1": "59650641da42a14261b5991d06bf0e347fc7ad5459c77280a6010c547fc33235",
+    "M_EX": "45996b3ce5567f197c9a35c29fc664196185182824deeac76dfc8adce88c824d",
+    "M_GM": "96c203b0f8f0ed40ed55c927f0f8510ec796ebe0e7b3dc40f5bcc81a177cae03",
+    "M_NE": "7a1fdaf82de65869c5dc6684d96ca1d562c549943a2da15c139685caa5e706db",
+    "random-0": "b47f644990ce0d1505fce6fd349d1e5dfbc2b5fa6ab8bd2000f54b593130a8b1",
+    "random-1": "db2ea83ced0c197025072313f6b3bfcc757b36e4af6ba8c2e7042cf00ed240e6",
+    "random-2": "97bc10306ba27427b4d28a64ad8dec4ec92ee72b4b14a1b7aee6642ea42539be",
+    "random-3": "d6babc7e0bd86fc46aec6fe3a3e9a2350294c6147bd9e6a9f809a3676cf6c907",
+    "random-4": "d4402ab84f8864d26f5d6b5a488cf3a8e815458de89a4f45ee403fda1e6e98f0",
+    "random-5": "cb178678b74301ecf07f9ffb579fa3ea8881bcf8ebd35f752f66250ebfed5637",
+    "random-6": "6fe9a1ae273d841bab74f60c2a10a9bdd2d98b15464a5c3a206c21348eb7d7ac",
+    "random-7": "351965791eacfca8ac0399e1c1fc332b8e6f2e429b0b46d7ba6e2097ecfb26f3",
+    "random-8": "b267a0e0db1aa32b91dc3deda46903be3a6fc117674efdbff4352d5c6c691107",
+    "random-9": "30821f6052043bf1a0c02fe6d604fbee3252d8d9349e7651150fbeacec19e714",
+}
+PROFILE_SHA256 = {
+    "M_1": "86d2cf5b090f43ee54d8f7c1dcf746a853951191457ff6dac96269a9d24860b9",
+    "M_EX": "28ee86d12ff65b009ca26f4772f7efcc8dbac6972ba2058ea1c08befeff1c36e",
+    "M_GM": "0be38f059009dda525b44176aaa0a516adf09924b2dcd9660a5ebbbc1070b9a6",
+    "M_NE": "888a426f321b6a387f0b15e4d7feaa182e7f69fcadabb5fa9fb47e1023853cfa",
+    "random-0": "e30eaee11ff1fa3eb6eb8ea0f4ba2ebe061071d544dc8fb3fce31254db8baaa7",
+    "random-1": "d1ada815438a798340e34ae4fdbf135629072a1dd8368c02ae5a23aa15d44c00",
+    "random-2": "e33cc70d73e8a4c927dd30cd7afb365f5b7d139376c81cd65e05d9d0ce97d629",
+    "random-3": "436275ffbe86db8e9f8a59b660780f20abc2c011f1bba1a6861c809db80bb7f0",
+    "random-4": "1919df02179977b7de939567b70dd279f3a409e9cb05ef0fe1d8fa6d18715753",
+    "random-5": "467fd788f97c4bf3f7e7d5505c400144d5d9750c6b1e0d8c63f81e5f00650f55",
+    "random-6": "e7432c658e7a94c16740afbf0e18e51b2304912cfcf0a2ac8014fd2674f7cb03",
+    "random-7": "5d2e79ec65c516de60756624d1673aae273d70fffad40b97e2b135fe6a50e873",
+    "random-8": "c457a8209e6cb3bc8ba6eba5f83e147676d4fcfae1cd9534f4c1c83e021b4788",
+    "random-9": "3398d312ae5a49e83dd3be222ac42b2b9e2a5fe9353a9dcfb8f60a7bb156df08",
+}
+
+
 def simulation_digest(m):
     sim = simulate_beliefs(m, 60, 300, seed=0, record_at=[0, 10, 30])
     digest = hashlib.sha256()
     for a in (sim.starts, sim.q_values, sim.y_values, *(sim.q_at[t] for t in sorted(sim.q_at))):
         digest.update(a.tobytes())
     return digest.hexdigest()
+
+
+def pinned_machines(machine_dir):
+    machines = [parse_machine(p.read_text(encoding="utf-8")) for p in machine_dir.glob("*.em")]
+    return machines + [random_machine(5, 3, density=0.5, seed=s) for s in range(10)]
+
+
+def enumeration_digest(m):
+    digest = hashlib.sha256()
+    for length in (0, 1, 2, 4, 6):
+        stats = exact_word_stats(m, length, keep_words=True)
+        fields = (stats.word_count, stats.nsyn, stats.mean_q, stats.root_mean, stats.inv_root_mean)
+        records = [(r.word, r.q_l, r.f_state, r.s_state, r.ratio) for r in stats.records]
+        # repr of a float round-trips, so it pins every bit
+        digest.update(repr((fields, records)).encode())
+    return digest.hexdigest()
+
+
+def profile_digest(m):
+    by_state, at_stationary = nonreset_profile(m, 10)
+    return hashlib.sha256(by_state.tobytes() + at_stationary.tobytes()).hexdigest()
 
 
 def cerny_machine():
@@ -262,6 +322,10 @@ class TestExactWordStats:
         assert stats.root_mean == pytest.approx(wsum / total, abs=1e-12)
         assert stats.inv_root_mean == pytest.approx(winv / total, abs=1e-12)
 
+    def test_pinned_hashes(self, machine_dir):
+        machines = pinned_machines(machine_dir)
+        assert {m.name: enumeration_digest(m) for m in machines} == ENUMERATION_SHA256
+
 
 class TestNonresetProfile:
     def test_ex_profile(self, ref_ex):
@@ -300,6 +364,10 @@ class TestNonresetProfile:
         with pytest.raises(InputError, match="budget"):
             nonreset_profile(ref_ex, 0, budget=-1)
 
+    def test_pinned_hashes(self, machine_dir):
+        machines = pinned_machines(machine_dir)
+        assert {m.name: profile_digest(m) for m in machines} == PROFILE_SHA256
+
 
 class TestResetThreshold:
     def test_references(self, ref_ex, ref_gm, ref_ne, ref_1):
@@ -319,10 +387,13 @@ class TestResetThreshold:
         # exhaustion certifies None even under a cap
         assert reset_threshold(ref_ne, cap=50) is None
 
-    def test_negative_cap(self, ref_1):
+    def test_negative_cap(self, ref_1, ref_ex):
         # checked before the one-state shortcut, which needs no search
         with pytest.raises(InputError, match="cap"):
             reset_threshold(ref_1, cap=-1)
+        # a fractional cap is refused, not compared with the search length
+        with pytest.raises(InputError, match="cap must be an integer"):
+            reset_threshold(ref_ex, cap=0.5)
 
     def test_matches_profile_support(self, mixed_corpus):
         # the threshold is the first length with a reset word; before it
@@ -454,6 +525,17 @@ class TestSimulateBeliefs:
         for t, q in sim.q_at.items():
             assert q == pytest.approx(belief(m, pi, "b" * t).q_l, rel=1e-9, abs=0.0)
 
+    def test_memory_does_not_grow_with_length(self, ref_ne):
+        # one draw per step keeps the working set at O(runs·n); a block of
+        # all 20,000 × 500 draws would take 78 MB on its own
+        tracemalloc.start()
+        try:
+            simulate_beliefs(ref_ne, 20_000, 500, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_starts_follow_state_indices(self, ref_ne):
         sim = simulate_beliefs(ref_ne, 3, 100, seed=4)
         assert sim.starts.min() >= 0 and sim.starts.max() < ref_ne.n
@@ -472,3 +554,8 @@ class TestSimulateBeliefs:
             simulate_beliefs(ref_ne, 10, 5, seed=0, record_at=[2.5, 3])
         with pytest.raises(InputError, match="seed"):
             simulate_beliefs(ref_ne, 3, 10, seed=-1)
+        # read with operator.index: a float is refused, not truncated
+        with pytest.raises(InputError, match="runs must be an integer"):
+            simulate_beliefs(ref_ne, 10, 2.5, seed=0)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            simulate_beliefs(ref_ne, 10, 5, seed=1.5)

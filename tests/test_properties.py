@@ -14,7 +14,8 @@ on adjacency lists and breadth-first periods, on these graphs and on the
 pair graphs of 32- and 40-state exact machines.  The closed components
 that the deadlock analysis reads off its one pass over the pair graph are
 checked against the mutual-reachability classes of deadlock pairs that no
-move leaves.
+move leaves.  The action walk's row dedupe is checked against
+`np.unique(..., axis=0)` on drawn action tables with repeated rows.
 """
 
 import itertools
@@ -43,7 +44,7 @@ from emsync import (
     render_machine,
     spectral_radius,
 )
-from emsync import rates
+from emsync import oracle, rates
 from emsync.graphs import (
     component_period,
     is_strongly_connected,
@@ -274,6 +275,23 @@ def reference_canonical_tables(vals, cols):
     out_vals[slot, r] = vals[r, j]
     out_cols[slot, r] = key[r, j]
     return out_vals, out_cols
+
+
+def reference_unique_rows(table):
+    """The distinct rows and each row's index among them, by numpy's own
+    row dedupe."""
+    return np.unique(table, axis=0, return_inverse=True)
+
+
+@st.composite
+def action_tables(draw):
+    """(rows, n) tables of word actions on n = 1 to 6 states, entries from
+    0 to n (n is the dead point): 1 to 40 rows drawn from a pool of 1 to 8
+    rows, so repeats are common and a pool of one gives all-equal rows."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(st.integers(0, n), min_size=n, max_size=n), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), n)
 
 
 def reference_pair_arrays(m):
@@ -724,3 +742,11 @@ def test_parser_mutations_raise_only_package_errors(text):
     except EmsyncError:
         return
     assert isinstance(m, EpsilonMachine)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(action_tables())
+def test_unique_rows_match_reference(table):
+    for got, want in zip(oracle._unique_rows(table), reference_unique_rows(table)):
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
