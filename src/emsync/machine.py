@@ -6,6 +6,7 @@ probability zero; stored probabilities are strictly positive.  No two states
 may generate identical word distributions.
 """
 
+import functools
 import math
 import string
 
@@ -46,6 +47,8 @@ class EpsilonMachine:
     -------------------------------
     delta : (n, k) int array, target state index or -1 when undefined.
     probs : (n, k) float array, emission probabilities, 0 when undefined.
+    stationary : StationaryDist of the state chain, solved on first read
+        and kept: every reader of the machine gets the same object.
     """
 
     def __init__(self, states, symbols, edges, name="machine", check_equivalent=True):
@@ -165,6 +168,14 @@ class EpsilonMachine:
         """One-step state transition matrix T with T[p, q] = sum of P_p(a)
         over symbols a with delta(p, a) = q."""
         return chain_matrix(self.delta, self.probs)
+
+    @functools.cached_property
+    def stationary(self):
+        """StationaryDist of the state chain (unique and positive by strong
+        connectivity).  A fact of the machine alone that the oracles and
+        the bounds read many times, so it is solved once, on first read;
+        it holds no reference back to the machine."""
+        return StationaryDist(solve_stationary(self.transition_matrix()))
 
     def __eq__(self, other):
         if not isinstance(other, EpsilonMachine):
@@ -345,14 +356,26 @@ def word_probability(m, state, word):
 
 
 class StationaryDist:
-    """Stationary law pi of the one-step state chain, with its extremes."""
+    """Stationary law pi of the one-step state chain, with its extremes.
+
+    Immutable, since one instance is shared by every reader of a machine:
+    pi is read-only and no attribute can be set or deleted.
+    """
+
+    __slots__ = ("pi", "pi_min", "pi_max")
 
     def __init__(self, pi):
         pi = np.asarray(pi, dtype=float)
         pi.flags.writeable = False
-        self.pi = pi
-        self.pi_min = float(pi.min())
-        self.pi_max = float(pi.max())
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi_min", float(pi.min()))
+        object.__setattr__(self, "pi_max", float(pi.max()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StationaryDist is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"StationaryDist is immutable: cannot delete {name!r}")
 
     def __repr__(self):
         return f"StationaryDist({np.array2string(self.pi, precision=6)})"
@@ -397,9 +420,9 @@ def solve_stationary(T):
 
 
 def stationary_distribution(m):
-    """StationaryDist of a valid machine (unique and positive by strong
-    connectivity)."""
-    return StationaryDist(solve_stationary(m.transition_matrix()))
+    """The machine's one StationaryDist, `m.stationary`: solved on the
+    first call and the same object on every later one."""
+    return m.stationary
 
 
 # -- random machines ----------------------------------------------------------

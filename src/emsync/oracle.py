@@ -198,8 +198,7 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     refused up front when that exceeds the budget.
     """
     length = nonnegative_integer(length, "length")
-    if budget < 0:
-        raise InputError("budget must be nonnegative")
+    budget = nonnegative_integer(budget, "budget")
     n, k = m.n, m.k
     steps = length * k**length
     if steps > budget:
@@ -277,8 +276,7 @@ def nonreset_profile(m, max_length, budget=10**7):
     leaves more than one live image state, and its stationary mixture.
     """
     max_length = nonnegative_integer(max_length, "max_length")
-    if budget < 0:
-        raise InputError("budget must be nonnegative")
+    budget = nonnegative_integer(budget, "budget")
     n, k = m.n, m.k
     delta_ext, _ = _extended_tables(m)
     probs_ext = np.vstack([m.probs, np.zeros((1, k))])

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import pathlib
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +21,22 @@ from emsync import (
     RowSumError,
     UnknownNameError,
     check_equivalence,
+    classify,
     deadlock_analysis,
+    exact_word_stats,
+    nonreset_profile,
+    nsyn_bounds,
     pair_matrix,
     parse_machine,
     random_machine,
+    rate_report,
     render_machine,
+    reset_threshold,
+    simulate_beliefs,
     stationary_distribution,
     word_probability,
 )
+from emsync import machine as machine_module
 from emsync.machine import _default_symbols, solve_stationary
 from perfbench import corpus
 
@@ -227,6 +237,72 @@ class TestStationary:
             ],
         )
         assert stationary_distribution(m).pi == pytest.approx([0.5, 0.5], abs=1e-10)
+
+
+class TestStationaryMemo:
+    def test_solved_on_first_read_and_kept(self, machine_dir):
+        m = parse_machine((machine_dir / "M_NE.em").read_text(encoding="utf-8"))
+        assert "stationary" not in vars(m)
+        dist = stationary_distribution(m)
+        assert vars(m)["stationary"] is dist
+        assert m.stationary is dist
+        assert stationary_distribution(m) is dist
+
+    @pytest.mark.parametrize("name", ["M_EX", "M_NE", "M_GM"])
+    def test_one_solve_per_oracle_check_operation(self, name, machine_dir, monkeypatch):
+        # what one oracle-check operation asks of a machine: every reader of
+        # the stationary law gets the machine's one solve
+        solves = []
+
+        def counting_solve(T):
+            solves.append(np.shape(T))
+            return solve_stationary(T)
+
+        monkeypatch.setattr(machine_module, "solve_stationary", counting_solve)
+        m = parse_machine((machine_dir / f"{name}.em").read_text(encoding="utf-8"))
+        for length in range(11):
+            exact_word_stats(m, length)
+        nonreset_profile(m, 10)
+        for length in range(11):
+            nsyn_bounds(m, length)
+        simulate_beliefs(m, 200, 200, 1)
+        assert solves == [(m.n, m.n)]
+
+    def test_no_memo_keeps_its_machine_alive(self, machine_dir):
+        # with the cycle collector off, only reference counts free the
+        # machine: nothing the calls leave behind may point back at it
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for name in ("M_EX", "M_NE"):
+                m = parse_machine((machine_dir / f"{name}.em").read_text(encoding="utf-8"))
+                exact_word_stats(m, 4, keep_words=True)
+                nonreset_profile(m, 6)
+                reset_threshold(m)
+                simulate_beliefs(m, 20, 10, 0, record_at=[5])
+                nsyn_bounds(m, 3)
+                classify(m)
+                rate_report(m)
+                assert "stationary" in vars(m)
+                ref = weakref.ref(m)
+                del m
+                assert ref() is None, name
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_stationary_dist_is_immutable(self, ref_ne):
+        dist = stationary_distribution(ref_ne)
+        for name in ("pi", "pi_min", "pi_max"):
+            with pytest.raises(AttributeError):
+                setattr(dist, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(dist, name)
+        with pytest.raises(AttributeError):
+            dist.extra = 1
+        with pytest.raises(ValueError):
+            dist.pi[0] = 0.5
+        assert dist.pi == pytest.approx([2 / 3, 1 / 3], abs=1e-10)
 
 
 def exact_stationary(T):

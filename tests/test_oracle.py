@@ -267,6 +267,10 @@ class TestExactWordStats:
         # a length-0 enumeration needs 0 steps, so only the sign can refuse it
         with pytest.raises(InputError, match="budget"):
             exact_word_stats(ref_ex, 0, budget=-5)
+        # read as an integer, like the lengths: not truncated, not a TypeError
+        for budget in (None, 2.5):
+            with pytest.raises(InputError, match="budget must be an integer"):
+                exact_word_stats(ref_ex, 0, budget=budget)
 
     def test_records_none_by_default(self, ref_ex):
         assert exact_word_stats(ref_ex, 2).records is None
@@ -363,6 +367,9 @@ class TestNonresetProfile:
     def test_negative_budget(self, ref_ex):
         with pytest.raises(InputError, match="budget"):
             nonreset_profile(ref_ex, 0, budget=-1)
+        for budget in (None, 2.5):
+            with pytest.raises(InputError, match="budget must be an integer"):
+                nonreset_profile(ref_ex, 0, budget=budget)
 
     def test_pinned_hashes(self, machine_dir):
         machines = pinned_machines(machine_dir)
