@@ -404,15 +404,16 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     """Sample words from the stationary machine and track the observer.
 
     One PCG64 stream (numpy default_rng) drives everything; draws happen
-    step-major across the whole run batch, so results are deterministic
-    given the seed regardless of platform.  Each run samples a start state
-    from the stationary law and emits `length` symbols.  A shadow table
-    keeps, per run and start state, where that start state has moved and
-    its log-probability of the emitted word.  The observer's belief (the
-    stationary law conditioned on the word) is read from this table at each
-    checkpoint and at the end, not updated symbol by symbol.  The table
-    also gives the averaged log-likelihood ratio between the run's start
-    state and each of its deadlock partners.
+    step-major across the whole run batch, in blocks of at most n steps,
+    so results are deterministic given the seed regardless of platform.
+    Each run samples a start state from the stationary law and emits
+    `length` symbols.  A shadow table keeps, per start state and run,
+    where that start state has moved and its log-probability of the
+    emitted word; the run's true state is its start's own entry.  The
+    observer's belief (the stationary law conditioned on the word) is read
+    from this table at each checkpoint and at the end, not updated symbol
+    by symbol.  The table also gives the averaged log-likelihood ratio
+    between the run's start state and each of its deadlock partners.
     """
     try:
         runs = operator.index(runs)
@@ -422,8 +423,10 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
         raise InputError("runs must be at least 1")
     length = nonnegative_integer(length, "length")
     seed = nonnegative_integer(seed, "seed")
+    if record_at is None:
+        record_at = ()
     try:
-        record_at = sorted({operator.index(step) for step in record_at or []})
+        record_at = sorted({operator.index(step) for step in record_at})
     except TypeError:
         raise InputError("checkpoints must be integers") from None
     if record_at and (record_at[0] < 0 or record_at[-1] > length):
@@ -432,38 +435,46 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     n, k = m.n, m.k
     rng = np.random.default_rng(seed)
     pi = stationary_distribution(m).pi
+    log_pi = np.log(pi)
     delta_ext, logp_ext = _extended_tables(m)
     # a draw u in [0, 1) passes exactly the thresholds of the outcomes before
     # the one it picks; +inf from the last live outcome on means that a sum
     # rounded below 1 cannot let u pass every outcome
     start_cum = np.append(np.cumsum(pi)[:-1], np.inf)
-    # row j: each state's P(symbol <= j), contiguous for the per-step gathers
-    cum = np.ascontiguousarray(np.cumsum(m.probs, axis=1).T)
+    cum = np.cumsum(m.probs, axis=1).T
     last_live = k - 1 - np.argmax(m.probs[:, ::-1] > 0, axis=1)
     cum[np.arange(k)[:, None] >= last_live] = np.inf
+    # row j, column state·k: the state's P(symbol <= j); the last row, all
+    # +inf, is passed by no draw and left out
+    thresholds = np.repeat(cum[:-1], k, axis=1)
 
     start = (rng.random(runs)[:, None] >= start_cum[None, :]).sum(axis=1)
     # both tables are read flat at state·k + symbol, so the shadow keeps
-    # state·k and a step is one index and two gathers
+    # state·k; row p follows start state p through every run, so a step
+    # adds the symbol along the contiguous axis, and a run's true state is
+    # flat at start·runs + run
     delta_k = delta_ext.ravel() * k
-    shadow = np.tile(np.arange(n, dtype=np.int64) * k, (runs, 1))
-    current = start  # the true state: its moves are live
-    logw = np.zeros((runs, n))
+    shadow = np.repeat(np.arange(n, dtype=np.int64) * k, runs).reshape(n, runs)
+    true_at = start * runs + np.arange(runs)
+    logw = np.zeros((n, runs))
     q_at = {}
-    for step in range(length + 1):
-        if step > 0:
-            u = rng.random(runs)
-            # count the thresholds passed, column by column and as integers;
-            # the last column is +inf, so no draw passes it
-            sym = np.zeros(runs, dtype=np.int64)
-            for c in cum[:-1]:
-                sym += u >= c.take(current)
-            current = delta_ext.take(current * k + sym)
-            index = shadow + sym[:, None]
-            logw += logp_ext.take(index)
-            shadow = delta_k.take(index)
-        if step in record_at or step == length:
-            q_at[step] = _residual_mass(_endpoint_posterior(np.log(pi), logw, shadow // k)[1])
+    done = 0
+    for stop in sorted({*record_at, length}):
+        for first in range(done, stop, n):
+            # one row of draws per step, in stream order; a block is no
+            # larger than the shadow table
+            for u in rng.random((min(n, stop - first), runs)):
+                # count the thresholds passed at each run's true state
+                sym = (u >= thresholds.take(shadow.take(true_at), axis=1)).sum(axis=0)
+                index = shadow + sym
+                logw += logp_ext.take(index)
+                shadow = delta_k.take(index)
+        done = stop
+        # run-major, as the read-out takes; logw as a contiguous copy, since
+        # the sum along a row of a transposed view rounds differently
+        q_at[stop] = _residual_mass(
+            _endpoint_posterior(log_pi, np.ascontiguousarray(logw.T), (shadow // k).T)[1]
+        )
 
     q_values = q_at[length] if length in record_at else q_at.pop(length)
 
@@ -472,8 +483,8 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     # deadlock pairs are in lexicographic order: grouped by start state
     pieces = []
     for p, group in itertools.groupby(deadlock, key=operator.itemgetter(0)):
-        own = logw[start == p]
-        pieces += [(own[:, p] - own[:, q]) / length for _, q in group]
+        own = logw[:, start == p]
+        pieces += [(own[p] - own[q]) / length for _, q in group]
     y_values = np.concatenate(pieces) if pieces else np.zeros(0)
 
     for a in (start, q_values, y_values):

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import emsync
 from emsync import (
     EpsilonMachine,
     ImpossibleWordError,
@@ -23,6 +24,7 @@ from emsync import (
     simulate_beliefs,
     stationary_distribution,
 )
+from perfbench import workloads
 
 E_NE = 0.186538595978474
 
@@ -45,6 +47,11 @@ SIMULATION_SHA256 = {
     "random-8": "757a35e63fcba90f6974b6c09868b7181699b9a363369aa8e1271a220a47c535",
     "random-9": "c3df8a65ec6633a8877457fb6619068ba96744d8c5ba1fa7c65e547af27de3a9",
 }
+# sha256 of edge_digest, pinned so that a draw block that ends one step off
+# shows: the oracle-check machines at seed 1 (3 to 8 states, 2 to 4
+# symbols) and M_1, at lengths around the state count with a checkpoint at
+# every step
+SIMULATION_EDGE_SHA256 = "1a7d25438cd19d893b865f43facc3ec6c14a0f54a9660b6365a9b3edda8ff886"
 
 
 # sha256 of enumeration_digest (WordStats fields and records at several
@@ -90,6 +97,17 @@ def simulation_digest(m):
     digest = hashlib.sha256()
     for a in (sim.starts, sim.q_values, sim.y_values, *(sim.q_at[t] for t in sorted(sim.q_at))):
         digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def edge_digest(machines):
+    digest = hashlib.sha256()
+    for m, seed in machines:
+        for length in (m.n - 1, m.n, m.n + 1, 2 * m.n + 3):
+            sim = simulate_beliefs(m, length, 7, seed, record_at=range(length + 1))
+            digest.update(sim.starts.tobytes() + sim.q_values.tobytes() + sim.y_values.tobytes())
+            for t in range(length + 1):
+                digest.update(sim.q_at[t].tobytes())
     return digest.hexdigest()
 
 
@@ -451,6 +469,9 @@ class TestSimulateBeliefs:
         for arr in sim.q_at.values():
             assert arr.shape == (32,)
         assert np.array_equal(sim.q_at[10], sim.q_values)
+        # an array of steps is read as a sequence, not as a truth value
+        sim = simulate_beliefs(ref_ne, 5, 4, seed=1, record_at=np.array([3, 2]))
+        assert sorted(sim.q_at) == [2, 3]
 
     def test_posterior_matches_belief_reference(self, ref_ne, mixed_corpus):
         # every simulated uncertainty is the per-symbol Bayes value of some
@@ -497,6 +518,12 @@ class TestSimulateBeliefs:
         machines += [random_machine(5, 3, density=0.5, seed=s) for s in range(10)]
         assert {m.name: simulation_digest(m) for m in machines} == SIMULATION_SHA256
 
+    def test_pinned_hash_at_block_edges(self, ref_1):
+        check = workloads.OracleCheck()
+        check.setup(emsync, 1, None)
+        machines = [(m, seed) for _, m, seed in check.inputs] + [(ref_1, 0)]
+        assert edge_digest(machines) == SIMULATION_EDGE_SHA256
+
     def test_draws_at_the_top_of_the_unit_interval(self, monkeypatch):
         # the stationary law sums to 1 - 2^-52 and state 2's row to 1 - 1e-13,
         # so a draw of nextafter(1, 0) passes every one of their cumulative
@@ -533,8 +560,9 @@ class TestSimulateBeliefs:
             assert q == pytest.approx(belief(m, pi, "b" * t).q_l, rel=1e-9, abs=0.0)
 
     def test_memory_does_not_grow_with_length(self, ref_ne):
-        # one draw per step keeps the working set at O(runs·n); a block of
-        # all 20,000 × 500 draws would take 78 MB on its own
+        # draws in blocks of at most n steps keep the working set at
+        # O(runs·n); a block of all 20,000 × 500 draws would take 78 MB on
+        # its own
         tracemalloc.start()
         try:
             simulate_beliefs(ref_ne, 20_000, 500, seed=0)
