@@ -113,17 +113,16 @@ def cmd_simulate(args):
         length = args.length
     sim = simulate_beliefs(m, length, args.runs, args.seed, record_at=checkpoints)
     out = [("length", length), ("runs", args.runs), ("seed", args.seed)]
-    medians = []
-    for point in checkpoints:
-        q = sim.q_at[point]
-        median = float(np.median(q))
-        medians.append(median)
-        out.append((f"q_l.mean.{point}", float(q.mean())))
+    # one (checkpoints, runs) sample, read along its run axis
+    q = np.stack([sim.q_at[point] for point in checkpoints])
+    medians = np.median(q, axis=1).tolist()
+    for point, mean, median in zip(checkpoints, q.mean(axis=1).tolist(), medians):
+        out.append((f"q_l.mean.{point}", mean))
         out.append((f"q_l.median.{point}", median))
-        if not args.sweep:
-            out.append((f"q_l.p10.{point}", float(np.quantile(q, 0.1))))
-            out.append((f"q_l.p90.{point}", float(np.quantile(q, 0.9))))
-    if args.sweep:
+    if not args.sweep:
+        out.append((f"q_l.p10.{length}", float(np.quantile(q[0], 0.1))))
+        out.append((f"q_l.p90.{length}", float(np.quantile(q[0], 0.9))))
+    else:
         # decay slope of ln(median); checkpoints with median 0 (already
         # synchronized) carry no decay information and are left out
         xs = [point for point, median in zip(checkpoints, medians) if median > 0]

@@ -8,6 +8,7 @@ may generate identical word distributions.
 
 import functools
 import math
+import numbers
 import string
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     NumericalError,
     RowSumError,
     UnknownNameError,
+    nonnegative_integer,
 )
 from .graphs import is_strongly_connected
 
@@ -453,14 +455,17 @@ def random_machine(n, k, density=1.0, seed=0, max_tries=10000):
     EpsilonMachine validation (row sums, strong connectivity, no
     equivalent states, probabilities in (0, 1]).  Deterministic for a
     given seed; raises GenerationError after max_tries rejections, and
-    InputError when max_tries is below 1.
+    InputError when n, k, seed or max_tries is not an integer, n, k or
+    max_tries is below 1, seed is negative, or density is not a real
+    number in (0, 1].
     """
+    n, k = nonnegative_integer(n, "n"), nonnegative_integer(k, "k")
+    seed = nonnegative_integer(seed, "seed")
+    max_tries = nonnegative_integer(max_tries, "max_tries")
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
-    if not (0.0 < density <= 1.0):
+    if not (isinstance(density, numbers.Real) and 0.0 < density <= 1.0):
         raise InputError("density must lie in (0, 1]")
-    if seed < 0:
-        raise InputError("seed must be nonnegative")
     if max_tries < 1:
         raise InputError("max_tries must be at least 1")
     rng = np.random.default_rng(seed)

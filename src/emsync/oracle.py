@@ -193,9 +193,10 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     """Enumerate every length-L word of positive probability.
 
     Level iteration keeps one row per word: the endpoint of each start
-    state (dead sentinel included) and the log-probability from each start
-    state.  The enumeration costs about L * |symbols|**L path steps and is
-    refused up front when that exceeds the budget.
+    state (dead sentinel included), the log-probability from each start
+    state and, with keep_words, the word's symbol indices (8 bytes per
+    path step).  The enumeration costs about L * |symbols|**L path steps
+    and is refused up front when that exceeds the budget.
     """
     length = nonnegative_integer(length, "length")
     budget = nonnegative_integer(budget, "budget")
@@ -209,11 +210,12 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
 
     endpoints = np.arange(n, dtype=np.int64)[None, :]
     logv = np.zeros((1, n))
-    trail = []  # per level, when words are kept: (parent row, symbol)
+    # when kept, row r's word so far: its parent's word and the new symbol
+    words = np.zeros((1, 0), dtype=np.int64) if keep_words else None
     for _ in range(length):
         parent, sym, endpoints, logv = _extend_level(delta_ext, logp_ext, endpoints, logv, np.add)
         if keep_words:
-            trail.append((parent, sym))
+            words = np.hstack([words.take(parent, axis=0), sym[:, None]])
 
     rows = endpoints.shape[0]
     log_pw, phi_end = _endpoint_posterior(np.log(stationary_distribution(m).pi), logv, endpoints)
@@ -237,28 +239,12 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
         masked = np.where(other, logv, -np.inf)
         s_state = np.argmax(masked, axis=1)
         ratio = np.exp(masked[np.arange(rows), s_state] - logv[np.arange(rows), f_state])
-        words = _reconstruct_words(trail, rows, length)
-        records = []
-        for r in range(rows):
-            if nonreset[r]:
-                rec = WordRecord(
-                    words[r], float(q[r]), int(f_state[r]), int(s_state[r]), float(ratio[r])
-                )
-            else:
-                rec = WordRecord(words[r], 0.0, int(f_state[r]), None, None)
-            records.append(rec)
+        columns = (nonreset, q, f_state, s_state, ratio)
+        records = [
+            WordRecord(tuple(w), q_r, f, s if live else None, r if live else None)
+            for w, live, q_r, f, s, r in zip(words.tolist(), *(c.tolist() for c in columns))
+        ]
     return WordStats(length, rows, nsyn, mean_q, root_mean, inv_root_mean, records)
-
-
-def _reconstruct_words(trail, rows, length):
-    """Walk the per-level parent/symbol arrays back to word index tuples."""
-    words = [[] for _ in range(rows)]
-    current = np.arange(rows)
-    for parent, sym in reversed(trail):
-        for w, r in zip(words, current):
-            w.append(int(sym[r]))
-        current = parent[current]
-    return [tuple(reversed(w)) for w in words]
 
 
 # -- aggregated word actions ---------------------------------------------------

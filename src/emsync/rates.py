@@ -11,6 +11,7 @@ which an observer's residual uncertainty shrinks.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -241,7 +242,7 @@ def _radius_of_blocks(vals, cols, blocks, depth, eps):
     does not set the radius.  Otherwise the failure with the largest upper
     end is raised, whatever the block order.  No block gives 0.
     """
-    if not (eps > 0 and math.isfinite(eps)):
+    if not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
         raise InputError("eps must be a positive finite number")
     self_loops = np.where(cols == np.arange(cols.shape[1]), vals, 0.0).sum(axis=0).tolist()
     value, failures = 0.0, []

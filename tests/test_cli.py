@@ -1,5 +1,6 @@
 """Command-line surface: report contents, formats, exit codes."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -182,6 +183,58 @@ class TestReports:
         lines = out.splitlines()
         assert lines[0] == "machine         M_EX"
         assert lines[-1] == "classification  exact"
+
+
+# sha256 of the stdout, stderr and exit code of each command on each of
+# machines/*.em, and of its report at full precision (stdout prints 9
+# significant digits, which hide a change in the last bits of a mean);
+# pinned so that a change to the simulation read-out (the order of a sum,
+# a median) or to the enumeration shows
+PINNED_COMMANDS = {
+    "sweep": ("simulate", "--sweep", "0:300:1", "--runs", "4", "--seed", "1"),
+    "length": ("simulate", "--length", "60", "--runs", "200", "--seed", "2"),
+    "oracle": ("bounds", "--length", "6", "--oracle"),
+}
+OUTPUT_SHA256 = {
+    "M_1 length": "eb4412e3e04c6361b115c8ba4b116fce362ffe3ffbf5580444b10bab171c0553",
+    "M_EX length": "eb4412e3e04c6361b115c8ba4b116fce362ffe3ffbf5580444b10bab171c0553",
+    "M_GM length": "eb4412e3e04c6361b115c8ba4b116fce362ffe3ffbf5580444b10bab171c0553",
+    "M_NE length": "1f848535fe23067b08b3d8dc6355d13f7dd1f1812b784860c017ab5f42ad01dd",
+    "M_1 oracle": "fe685259d1650d261b798ff3ae66e6eed91a21d8b56126944e83a3d012e34da4",
+    "M_EX oracle": "cf7950dd4b2b7aef6551ec872dace118626450a556b7ad285fe8c8a3fa4e980b",
+    "M_GM oracle": "fe685259d1650d261b798ff3ae66e6eed91a21d8b56126944e83a3d012e34da4",
+    "M_NE oracle": "fffd987e27324fa748628b7e85f3b4963f8c2c862648702844180ea28b1b6046",
+    "M_1 sweep": "68dc52d119adb76115716f3fd5f82c788c6d6f6f82e08c92ae71be3981611d9a",
+    "M_EX sweep": "5b964e24207dbae89f21d8ed2a510cc70a3c51292904f9067d5e9ecacd18a86b",
+    "M_GM sweep": "c6d7cab8a6cad85ebdfb7b7d36c8462ed3c4bad5768e750d39902abc724a767c",
+    "M_NE sweep": "740c9fb2fef17934c44fe6d4cef46e84c5f4749d3e1ab9ac18abf2dd5f5bdfaa",
+}
+
+
+def output_digest(capsys, monkeypatch, path, command):
+    reports = []
+    render = cli.render_report
+
+    def recorded(report, fmt):
+        reports.append(report)
+        return render(report, fmt)
+
+    monkeypatch.setattr(cli, "render_report", recorded)
+    command, *options = PINNED_COMMANDS[command]
+    code, out, err = run(capsys, command, str(path), *options)
+    return hashlib.sha256(repr((out, err, code, reports)).encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
+    def test_pinned_hashes(self, capsys, monkeypatch, machine_dir, command):
+        digests = {
+            f"{path.stem} {command}": output_digest(capsys, monkeypatch, path, command)
+            for path in sorted(machine_dir.glob("*.em"))
+        }
+        assert digests == {
+            key: value for key, value in OUTPUT_SHA256.items() if key.endswith(f" {command}")
+        }
 
 
 class TestGen:

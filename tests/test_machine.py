@@ -432,6 +432,30 @@ class TestRandomMachine:
             with pytest.raises(InputError, match="max_tries"):
                 random_machine(3, 2, seed=0, max_tries=tries)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, name",
+        [
+            ((3.0, 2), {}, "n"),
+            ((3, 2.0), {}, "k"),
+            ((3, "2"), {}, "k"),
+            ((3, 2), {"seed": 1.5}, "seed"),
+            ((3, 2), {"seed": None}, "seed"),
+            ((3, 2), {"max_tries": 2.5}, "max_tries"),
+            ((3, 2), {"density": "0.5"}, "density"),
+            ((3, 2), {"density": None}, "density"),
+        ],
+    )
+    def test_argument_types(self, args, kwargs, name):
+        # a float is refused, not truncated, and no argument of the wrong
+        # type escapes as a bare TypeError
+        with pytest.raises(InputError, match=name):
+            random_machine(*args, **kwargs)
+
+    def test_numpy_scalars_draw_as_python_numbers(self):
+        a = random_machine(np.int64(4), np.int64(2), density=np.float64(0.8), seed=np.int64(3))
+        assert a == random_machine(4, 2, density=0.8, seed=3)
+        assert a.name == "random-3"
+
     # k up to 12 gives weight sums of more than 8 terms, where a pairwise or
     # compensated sum would differ from dirichlet's in-order one; density
     # 0.15 hits the fallback draw of a state with no edges

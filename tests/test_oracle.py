@@ -1,9 +1,11 @@
 """Verification routes: belief tracking, exhaustive word enumeration,
 aggregated word actions, reset threshold, and Monte Carlo simulation."""
 
+import ast
 import hashlib
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -142,6 +144,20 @@ def cerny_machine():
         edges.append((str(i), "a", str((i + 1) % 4), p_a[i]))
         edges.append((str(i), "b", str(b_map[i]), 1.0 - p_a[i]))
     return EpsilonMachine([str(i) for i in range(4)], ["a", "b"], edges, name="cerny4")
+
+
+def test_oracle_does_not_import_rates():
+    # the oracles certify the rates module only while they share none of
+    # its code
+    source = pathlib.Path(emsync.__file__).with_name("oracle.py").read_text(encoding="utf-8")
+    imports = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imports += [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            imports += [module + [alias.name] for alias in node.names]
+    assert imports and not [path for path in imports if "rates" in path]
 
 
 class TestBelief:

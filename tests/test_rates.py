@@ -351,10 +351,15 @@ class TestSpectralRadius:
         with pytest.raises(InputError, match="finite"):
             spectral_radius(A)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
-    def test_eps_must_be_positive_and_finite(self, eps):
-        with pytest.raises(InputError, match="eps"):
+    # a non-number would fail the comparison with 0 as a bare TypeError
+    @pytest.mark.parametrize(
+        "eps", [math.nan, math.inf, -math.inf, -1e-9, "1e-9", "x", None, [1e-9]]
+    )
+    def test_eps_must_be_positive_and_finite(self, eps, ref_ex):
+        with pytest.raises(InputError, match="eps must be a positive finite number"):
             spectral_radius([[0.5, 0.3], [0.2, 0.4]], eps=eps)
+        with pytest.raises(InputError, match="eps must be a positive finite number"):
+            sync_rate(ref_ex, eps=eps)
 
     def test_periodic_block_through_noda(self, solve_calls):
         # bipartite, period 2; A^2 has its eigenvalues nearly on one circle,
