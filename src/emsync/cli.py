@@ -80,10 +80,11 @@ def cmd_pred_rate(args):
 
 def cmd_bounds(args):
     m = load_machine(args.machine)
+    # the enumeration runs first, so that one over its budget is refused at once
+    stats = exact_word_stats(m, args.length, budget=args.budget) if args.oracle else None
     bounds = nsyn_bounds(m, args.length)
     out = [("length", args.length), ("nsyn.lower", bounds.lower)]
-    if args.oracle:
-        stats = exact_word_stats(m, args.length, budget=args.budget)
+    if stats is not None:
         out.append(("nsyn.exact", stats.nsyn))
     out.append(("nsyn.upper", bounds.upper))
     return out

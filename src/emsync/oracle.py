@@ -196,11 +196,19 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
     state (dead sentinel included), the log-probability from each start
     state and, with keep_words, the word's symbol indices (8 bytes per
     path step).  The enumeration costs about L * |symbols|**L path steps
-    and is refused up front when that exceeds the budget.
+    and is refused up front when that exceeds the budget, naming the
+    count, or writing it as L * k^L when the power is too large to form.
     """
     length = nonnegative_integer(length, "length")
     budget = nonnegative_integer(budget, "budget")
     n, k = m.n, m.k
+    if k > 1 and length > max(budget.bit_length(), 64):
+        # k**L >= 2**L > budget: refused without forming the power, which
+        # may be too slow to form and too long to print; up to 64 symbols
+        # the exact count is short enough to name
+        raise ResourceError(
+            f"enumeration needs a budget of {length} * {k}^{length} path steps, exceeding {budget}"
+        )
     steps = length * k**length
     if steps > budget:
         raise ResourceError(

@@ -123,11 +123,15 @@ def _noda_steps(vals, cols, x):
     a diagonally dominant M-matrix, so accurate entry by entry even when x
     spans many orders of magnitude (Alfa, Xue & Ye, Math. Comp. 71, 2002).
     For irreducible A and sigma > rho the inverse is positive, so x stays
-    positive and every bracket is certified.  The dense A is built before
-    the first solve.  Ends at a singular solve, one leaving the positive
-    cone, or a bracket no narrower than the one before.
+    positive and every bracket is certified.  No dense A is kept: each
+    solve's system is built from the tables, where a canonical (row,
+    column) entry appears once, so entry [i, j] is (a_ij x_j) / -x_i with
+    the roundings of the dense (A * x) / -x[:, None].  One b x b system is
+    alive at a time, two while the next is built.  Ends at a singular
+    solve, one leaving the positive cone, or a bracket no narrower than the
+    one before.
     """
-    A, width = None, math.inf
+    b, width = cols.shape[1], math.inf
     while True:
         ratio = _step(vals, cols, x) / x
         lo, hi = float(ratio.min()), float(ratio.max())
@@ -135,13 +139,10 @@ def _noda_steps(vals, cols, x):
             return
         width = hi - lo
         yield lo, hi
-        if A is None:
-            A = chain_matrix(cols.T, vals.T)
-        shifted = A * x  # sigma I - D^-1 A D, built in place
-        shifted /= -x[:, None]
-        shifted.flat[:: A.shape[0] + 1] += hi
+        shifted = chain_matrix(cols.T, (vals * x[cols] / -x).T)  # sigma I - D^-1 A D
+        shifted.flat[:: b + 1] += hi
         try:
-            y = np.linalg.solve(shifted, np.ones(A.shape[0]))
+            y = np.linalg.solve(shifted, np.ones(b))
         except np.linalg.LinAlgError:
             return
         if not (np.isfinite(y).all() and y.min() > 0):
@@ -154,11 +155,12 @@ def _block_radius(vals, cols, d, eps):
     """Spectral radius of an irreducible nonnegative block in canonical
     (w, b) tables, support period d: the midpoint of the intersection
     [lo, hi] of the certified brackets once hi - lo <= eps, else
-    ConvergenceError with [lo, hi].  Power iteration runs at most b windows
-    (dense, the work of one factorisation) and hands off to Noda iteration
-    early once the bracket is predicted to need more than twice the windows
-    left (`_steps_to_close`) to narrow to the larger of eps and the block's
-    resolution; Noda stops at its first step that does not narrow.  So
+    ConvergenceError with [lo, hi].  Power iteration runs on the tables, at
+    most b windows (dense, the work of one factorisation), and hands off to
+    Noda iteration early once the bracket is predicted to need more than
+    twice the windows left (`_steps_to_close`) to narrow to the larger of
+    eps and the block's resolution; Noda stops at its first step that does
+    not narrow, and its solves alone build dense b x b systems.  So
     both phases end without a step counter, and eps decides only when to
     succeed: below the resolution, the path does not depend on it.
 
@@ -236,7 +238,7 @@ def _radius_of_blocks(vals, cols, blocks, depth, eps):
     of |depth[u] + 1 - depth[v]| over the block's edges is its period
     (`graphs.labelled_period`; depth[r] cancels).  Each block runs
     certified bracketed iteration (power iteration handing off to Noda
-    iteration, which alone builds the dense block).  A block that raises
+    iteration, whose solves alone build dense systems).  A block that raises
     ConvergenceError is set aside: its bracket holds its radius, so when
     its upper end lies below the largest block value less eps/2 the block
     does not set the radius.  Otherwise the failure with the largest upper
@@ -471,8 +473,11 @@ def _drift_bracket(rows, pa):
 def _poisson_seed(vals, cols, g, h):
     """h from one dense Poisson solve (I - P)h + E 1 = g with h_0 = 0,
     doubled for the lazy chain, for the component chain P in the (k, c)
-    tables; the given h when the solve is singular or not finite."""
-    A = np.eye(vals.shape[1]) - chain_matrix(cols.T, vals.T)
+    tables; the given h when the solve is singular or not finite.  I - P is
+    built as one c x c array, -P from the tables plus 1 on the diagonal,
+    with the roundings of I - P."""
+    A = chain_matrix(cols.T, -vals.T)
+    A.flat[:: A.shape[0] + 1] += 1.0
     A[:, 0] = 1.0  # column 0 multiplies h_0 = 0; it now carries E
     try:
         x = np.linalg.solve(A, g)

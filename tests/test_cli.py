@@ -348,6 +348,17 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("name", ["M_NE.em", "M_EX.em", "M_GM.em"])
+    def test_oracle_budget_exceeded_at_unprintable_count(self, capsys, machine_dir, name):
+        # the needed budget has over 4,800 digits; it is refused before the
+        # 16,000 steps of the sandwich bounds run
+        argv = ("bounds", str(machine_dir / name), "--length", "16000", "--oracle", "--format", "kv")
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: enumeration needs a budget of 16000 * ")
+        assert len(err.splitlines()) == 1
+
     def test_oracle_negative_budget(self, capsys, machine_dir):
         argv = ("bounds", str(machine_dir / "M_EX.em"), "--length", "0", "--oracle", "--budget", "-5")
         code, out, err = run(capsys, *argv)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import pathlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,20 @@ class TestExactWordStats:
     def test_budget_refusal_names_needed_budget(self, ref_ex):
         with pytest.raises(ResourceError, match="32212254720"):
             exact_word_stats(ref_ex, 30)
+
+    def test_refusal_writes_unprintable_budget_as_power(self, ref_ne):
+        # 16000 * 2**16000 path steps: a number of 4,821 digits, more than
+        # Python converts to a string
+        with pytest.raises(ResourceError, match=r"of 16000 \* 2\^16000 path steps, exceeding 10000000$"):
+            exact_word_stats(ref_ne, 16_000)
+
+    def test_refusal_does_not_form_the_power(self, trans_machine):
+        # 3**(10**7) alone would take seconds to form
+        assert trans_machine.k == 3
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match="budget"):
+            exact_word_stats(trans_machine, 10**7)
+        assert time.perf_counter() - start < 0.1
 
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):

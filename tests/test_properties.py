@@ -511,6 +511,18 @@ def test_edge_stats_match_loop_reference(m):
         np.testing.assert_allclose(stats.expectation, expectation, rtol=1e-14, atol=0.0)
 
 
+@pair_layer_settings
+@given(permutation_machines())
+def test_closed_component_first_coordinate_is_stationary(m):
+    # closure moves the pair inside its component on every symbol the first
+    # coordinate emits, so that coordinate runs the machine's own chain
+    pa, da = deadlock_analysis(m)
+    for comp in da.components:
+        rho = edge_machine_stats(comp, pa).rho
+        first = np.bincount([p for p, _ in comp], weights=rho, minlength=m.n)
+        np.testing.assert_allclose(first, m.stationary.pi, rtol=0.0, atol=1e-12)
+
+
 def assert_drift_brackets_hold_dense_drift(m):
     pa, da = deadlock_analysis(m)
     for comp, rows in zip(da.components, da.component_rows):

@@ -3,6 +3,7 @@ prediction rates, sandwich bounds, drift expectations, escape rate."""
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ def rare_b_machine(n):
 
 def dense_radius(A):
     return float(np.abs(np.linalg.eigvals(np.asarray(A))).max())
+
+
+def dense_copies(call, rows):
+    """Peak bytes that tracemalloc traces while `call()` runs, in units of
+    one dense rows x rows float array (8 rows^2 bytes).  numpy's LAPACK
+    working copy of a solve's matrix is allocated outside the tracer."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * rows * rows)
 
 
 def weighted_cycle(size, rng):
@@ -472,12 +486,55 @@ class TestSyncRate:
         sync_rate(cycle_machine(40, 2, seed=1))
         assert chain_matrix_calls == []
 
-    def test_noda_builds_one_dense_block(self, chain_matrix_calls, step_calls):
+    def test_noda_builds_one_dense_block(self, chain_matrix_calls, solve_calls, step_calls):
         sync_rate(cerny_machine(17))
-        assert chain_matrix_calls == [17 * 16]
+        # one system per solve, each built from the 272-row block's tables:
+        # no dense block is kept between solves
+        assert solve_calls and chain_matrix_calls == solve_calls
+        assert set(chain_matrix_calls) == {17 * 16}
         # power iteration alone would need about 600 windows here, so the
         # block hands off before its budget of 272 windows is spent
         assert len(step_calls) < 17 * 16
+
+    def test_noda_holds_at_most_two_systems(self, solve_calls):
+        # Cerny-24's one 552-pair block closes in Noda.  Its solve reads one
+        # b x b system; the previous step's system is still alive while the
+        # next is built, so two copies at most.  The tables, vectors and pair
+        # automaton are O(b) arrays, under 0.1 copy here; a dense block kept
+        # across solves would add a third copy.
+        b = 24 * 23
+        assert dense_copies(lambda: sync_rate(cerny_machine(24)), b) < 2.5
+        assert solve_calls and set(solve_calls) == {b}
+
+    def test_repeated_eigenvalue_radius(self):
+        # exact-n4-k2-0 of the exact ladder at seed 13: its pair graph is
+        # three 4-pair blocks, each a single 4-cycle on symbol a whose
+        # weights are P(a|i) of the four states.  The pair matrix has each
+        # fourth root of their product three times over, a root that dense
+        # eigenvalue routines may split by about 1e-8.
+        m = parse_machine(
+            "machine exact-n4-k2-0\n"
+            "states 0 1 2 3\n"
+            "symbols a b\n"
+            "edge 0 a 1 1.0\n"
+            "edge 1 a 3 0.5489138828863571\n"
+            "edge 1 b 1 0.4510861171136429\n"
+            "edge 2 a 0 0.5046672049561929\n"
+            "edge 2 b 1 0.4953327950438071\n"
+            "edge 3 a 2 0.3068088584663175\n"
+            "edge 3 b 2 0.6931911415336824\n"
+            "end\n"
+        )
+        pa, da = deadlock_analysis(m)
+        blocks = [block for block in da.scc[0] if len(block) > 1]
+        assert [len(block) for block in blocks] == [4, 4, 4]
+        block = blocks[0]
+        inside = np.isin(pa.delta2[block], block)
+        assert inside.sum() == 4
+        value = math.prod(pa.weight[block][inside].tolist()) ** 0.25
+        assert value == pytest.approx(0.53993850330145010119, abs=4e-16)  # mpmath, 50 digits
+        for rate in (sync_rate(m), rate_report(m).escape):
+            assert abs(rate - value) <= RATE_EPS / 2 + 1e-15
 
     def test_slow_gap_random_machine_matches_eigenvalues(self):
         m = random_machine(10, 2, density=0.9, seed=10)
@@ -628,6 +685,20 @@ class TestEdgeMachineStats:
         with pytest.raises(InputError, match="repeats a pair"):
             edge_machine_stats(da.components[0] + da.components[0][:1], pa)
 
+    def test_first_coordinate_moves_as_the_machine(self, nonexact_corpus):
+        # in a closed component every symbol the first coordinate emits moves
+        # the pair inside it, so the first coordinate is the machine's own
+        # chain and its equilibrium marginal is the stationary law
+        components = 0
+        for m in nonexact_corpus:
+            pa, da = deadlock_analysis(m)
+            for comp in da.components:
+                rho = edge_machine_stats(comp, pa).rho
+                first = np.bincount([p for p, _ in comp], weights=rho, minlength=m.n)
+                np.testing.assert_allclose(first, m.stationary.pi, rtol=0.0, atol=1e-12)
+                components += 1
+        assert components >= len(nonexact_corpus)
+
     def test_expectation_positive_on_corpus(self, nonexact_corpus):
         for m in nonexact_corpus[:40]:
             pa, da = deadlock_analysis(m)
@@ -695,6 +766,20 @@ class TestDriftBracket:
             rates._drift_bracket(rows, pa)
         lo, hi = exc.value.bracket
         assert solve_calls == [] and lo <= expected <= hi
+
+    def test_dense_seed_holds_one_system(self, solve_calls):
+        # a 240-pair component seeds from one Poisson solve: I - P is the one
+        # c x c array, built from the tables; the tables, g and h are O(c k)
+        # arrays, under 0.1 copy here.  An identity subtracted from a built P
+        # would add a copy.
+        m = parse_machine(gen.permutation_spec(16, 2, np.random.default_rng(1), "perm-16").text())
+        pa, da = deadlock_analysis(m)
+        (rows,) = da.component_rows
+        c = len(rows)
+        assert c == 240 <= rates.DENSE_SEED_PAIRS
+        solve_calls.clear()
+        assert dense_copies(lambda: rates._drift_bracket(rows, pa), c) < 1.5
+        assert solve_calls == [c]
 
     def test_rare_b_24_switches_to_dense_seed(self, solve_calls):
         # 552 pairs over 2 symbols, 552^2 <= 3 * 2 * DRIFT_MAX_STEPS; from
