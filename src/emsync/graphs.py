@@ -19,7 +19,7 @@ def restrict(targets, nodes):
     return position[targets[nodes]]
 
 
-def tarjan(targets):
+def tarjan(targets, flips=None):
     """Strongly connected components of a target table's graph, and the
     depth of every node in the depth-first forest that found them.
 
@@ -28,14 +28,24 @@ def tarjan(targets):
     Returns (components, depth): the components, each a sorted list of
     nodes, in reverse topological order of the condensation, and each
     node's depth in the forest as a list.
+
+    `flips`, a 0/1 table shaped like `targets`, puts a Z2 label on each
+    edge (a voltage graph, Gross & Tucker, Topological Graph Theory, 1987).
+    The same traversal then also returns each node's parity, the sum mod 2
+    of the flips along its tree path from its root, as a third list: an
+    edge u -> v of flip f closes a walk of odd total flip through the tree
+    exactly when f ^ parity[u] ^ parity[v] is 1 (`pairs.DeadlockAnalysis`
+    lifts a quotient graph with it).
     """
     table = np.asarray(targets)
     n = len(table)
     width = table.shape[1] if n else 0
     flat = table.ravel().tolist()
+    flip = None if flips is None else np.asarray(flips).ravel().tolist()
     index = [0] * n  # visit order from 1; n + 1 once the component is out
     low = [0] * n
     depth = [0] * n
+    parity = [0] * n
     edge = [u * width for u in range(n)]  # flat position of each node's next edge
     stack, components = [], []
     visited = 0
@@ -74,9 +84,11 @@ def tarjan(targets):
             visited += 1
             index[v] = low[v] = visited
             depth[v] = len(path)
+            if flip is not None:
+                parity[v] = parity[u] ^ flip[e - 1]
             stack.append(v)
             path.append(v)
-    return components, depth
+    return (components, depth) if flips is None else (components, depth, parity)
 
 
 def strongly_connected_components(targets):

@@ -6,8 +6,18 @@ distinct states.  Pairs from which no word ever collapses the ambiguity are
 deadlock pairs; their closed strongly connected components carry the
 asymptotic behaviour of non-exact machines.  Every pair quantity is read
 from the (m, k) arrays delta2 and weight, rows in lexicographic pair order.
+
+The structure of the pair graph is found on half of it.  Swapping the two
+coordinates commutes with every move, so the graph on ordered pairs is the
+lift of a graph on the m/2 unordered pairs whose edges carry a Z2 label,
+set where a move comes out reversed (a voltage graph: Gross & Tucker,
+Topological Graph Theory, 1987).  The mergeable mask is a closure there,
+and the strongly connected blocks come from one Tarjan pass there, lifted
+back by the parity of each node's tree path; the weights, which follow the
+first coordinate and so differ between a pair and its swap, stay ordered.
 """
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +76,34 @@ def build_pair_automaton(m):
     return PairAutomaton(m)
 
 
+_SWAP_LAYOUTS = {}  # swap_layout(n) of the last few n, oldest first
+
+
+def swap_layout(n):
+    """How the n(n-1) ordered pairs fold onto the n(n-1)/2 unordered pairs
+    {p < q}, both in lexicographic order: (upper, node, flipped), where
+    upper holds the rows with p < q, one per unordered pair, and node and
+    flipped give per row its unordered pair and whether p > q, with one
+    more slot (-1, False) that answers row -1.  A fact of n alone, kept
+    for the last 16 n: every analysis reads it, and on machines of a few
+    states building it costs as much as the closure it serves."""
+    if n not in _SWAP_LAYOUTS:
+        p, q = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        off = p != q
+        p, q = p[off], q[off]
+        low = np.minimum(p, q)
+        # a (2n - a - 3) / 2 unordered pairs start below a
+        node = np.append(low * (2 * n - 5 - low) // 2 + p + q - 1, -1)
+        flipped = np.append(p > q, False)
+        upper = np.flatnonzero(p < q)
+        for a in (upper, node, flipped):
+            a.flags.writeable = False
+        if len(_SWAP_LAYOUTS) == 16:
+            del _SWAP_LAYOUTS[next(iter(_SWAP_LAYOUTS))]
+        _SWAP_LAYOUTS[n] = upper, node, flipped
+    return _SWAP_LAYOUTS[n]
+
+
 class DeadlockAnalysis:
     """Structure of the pair graph: the split of the pairs into mergeable
     and deadlock pairs, and the closed strongly connected components of the
@@ -78,8 +116,11 @@ class DeadlockAnalysis:
         either way).
     mask : (m,) bool row mask, True on mergeable pairs, those that reach a
         seed.
-    scc : (blocks, depth) of one Tarjan pass over the pair graph
-        (`graphs.tarjan`).
+    quotient : the pair graph on unordered pairs, with a flip bit per
+        move.
+    scc : (blocks, labels), the strongly connected blocks of the pair
+        graph and path-length labels that give their periods, lifted from
+        one Tarjan pass over the quotient (`graphs.tarjan`).
     component_rows : rows of each closed deadlock component, ordered by
         their smallest member, members sorted.
     components : component_rows as tuples of (p, q) pairs.
@@ -96,27 +137,96 @@ class DeadlockAnalysis:
         self.seeds = (((tp >= 0) & (tp == tq)) | ((tp >= 0) != (tq >= 0))).any(axis=1)
 
     @cached_property
+    def quotient(self):
+        """The pair graph on unordered pairs: (table, flips), both
+        (n(n-1)/2, k), rows the unordered pairs {p < q} in lexicographic
+        order (`swap_layout`).  The swap (p, q) -> (q, p) commutes with
+        every move, so the ordered graph is the lift of this quotient by
+        the Z2 label `flips`: the move of {p < q} on a symbol flips when it
+        lands on (t, s) with t > s.  table holds -1 and flips False where
+        there is no move.  Read off the rows of delta2 with p < q."""
+        upper, node, flipped = swap_layout(self.pa.machine.n)
+        moves = self.pa.delta2[upper]
+        return node[moves], flipped[moves]
+
+    @cached_property
     def mask(self):
-        """Backward closure of the seeds over the pair moves."""
-        pa = self.pa
-        # predecessor lists of the pair graph in CSR form
-        sources, symbols = np.nonzero(pa.delta2 >= 0)
-        targets = pa.delta2[sources, symbols]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(targets, minlength=pa.count))]).tolist()
-        preds = sources[np.argsort(targets, kind="stable")].tolist()
-        merged = self.seeds.tolist()
-        stack = np.flatnonzero(self.seeds).tolist()
+        """Backward closure of the seeds over the moves of the quotient,
+        gathered back to the ordered rows: a pair and its swap merge
+        together."""
+        upper, node, _ = swap_layout(self.pa.machine.n)
+        table, _ = self.quotient
+        # predecessor lists of the quotient graph in CSR form: the sorted
+        # flat table, the absent moves (-1) first
+        flat = table.ravel()
+        indptr = np.cumsum(np.bincount(flat + 1, minlength=len(table) + 1)).tolist()
+        preds = (np.argsort(flat, kind="stable") // table.shape[1]).tolist()
+        seeds = self.seeds[upper]
+        merged = seeds.tolist()
+        stack = np.flatnonzero(seeds).tolist()
         while stack:
             t = stack.pop()
             for r in preds[indptr[t] : indptr[t + 1]]:
                 if not merged[r]:
                     merged[r] = True
                     stack.append(r)
-        return np.array(merged, dtype=bool)
+        return np.array(merged, dtype=bool)[node[:-1]]
 
     @cached_property
     def scc(self):
-        return tarjan(self.pa.delta2)
+        """(blocks, labels): the strongly connected blocks of the ordered
+        pair graph, each a sorted row array, in reverse topological order,
+        and per row a path-length label for `graphs.labelled_period`.
+
+        One `graphs.tarjan` pass over the quotient gives its blocks, depths
+        and parities (the flips along each tree path).  A quotient block C
+        lifts exactly.  If f ^ parity[u] ^ parity[v] = 0 on every edge
+        u -> v of flip f inside C, every closed walk in C flips an even
+        number of times, and the lift is two mirror blocks: the rows
+        oriented as their parity says, and their swaps, each a copy of C
+        labelled by its depths.  Otherwise the lift is one block holding
+        both orientations of each pair, and the copy against the parity is
+        labelled depth + (depth[u] + 1 - depth[v]) for one parity-breaking
+        edge u -> v, the length at which the tree path to u and that edge
+        reach it; so the labels give the lift's period (the swap 0 <-> 1
+        has quotient period 1 and lifted period 2).  The lifted blocks go
+        in the order of their quotient blocks, which keeps it reverse
+        topological.  Mirror blocks carry different weights, so the radius
+        and the drifts run on the lifted blocks.
+        """
+        _, node, flipped = swap_layout(self.pa.machine.n)
+        node, flipped = node[:-1], flipped[:-1]
+        table, flips = self.quotient
+        blocks, depth, parity = tarjan(table, flips)
+        if not blocks:
+            return [], np.zeros(0, dtype=np.int64)
+        depth, parity = np.array(depth), np.array(parity, dtype=bool)
+        against = flipped ^ parity[node]  # rows in the copy against their parity
+        # a missing move (-1) reads the last node, and `table >= 0` masks it off
+        if len(blocks) == 1:  # every node in one block, every edge inside it
+            breaks = (flips ^ parity[:, None] ^ parity[table]) & (table >= 0)
+            if not breaks.any():
+                return [np.flatnonzero(~against), np.flatnonzero(against)], depth[node]
+            u, j = divmod(int(breaks.argmax()), table.shape[1])
+            return [np.arange(len(node))], depth[node] + against * (depth[u] + 1 - depth[table[u, j]])
+        label = np.empty(len(table), dtype=np.int64)
+        label[np.fromiter(itertools.chain.from_iterable(blocks), np.int64, len(table))] = np.repeat(
+            np.arange(len(blocks)), [len(block) for block in blocks]
+        )
+        # an edge inside a block breaks parity where the codes 2 label + parity
+        # of its ends differ, after its flip, in the parity bit alone
+        code = 2 * label + parity
+        rows, slots = np.nonzero(((code[table] ^ code[:, None] ^ flips) == 1) & (table >= 0))
+        breaking = label[rows]
+        odd = np.zeros(len(blocks), dtype=bool)
+        odd[breaking] = True
+        shift = np.zeros(len(blocks), dtype=np.int64)
+        shift[breaking] = depth[rows] + 1 - depth[table[rows, slots]]
+        block = label[node]
+        key = 2 * block + (against & ~odd[block])
+        order = np.argsort(key, kind="stable")
+        ends = np.cumsum(np.bincount(key, minlength=2 * len(blocks))).tolist()
+        return [order[a:b] for a, b in zip([0] + ends, ends) if b > a], depth[node] + against * shift[block]
 
     @cached_property
     def component_rows(self):
@@ -128,13 +238,14 @@ class DeadlockAnalysis:
         pair reaches some block that no move leaves, so a machine is exact
         exactly when there is none."""
         blocks, _ = self.scc
+        if len(blocks) <= 1:  # no block, or one that holds every row
+            return [] if self.seeds.any() else list(blocks)
         label = np.empty(self.pa.count, dtype=np.int64)
-        for c, block in enumerate(blocks):
-            label[block] = c
+        label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
         leaves = ((self.pa.delta2 >= 0) & (label[self.pa.delta2] != label[:, None])).any(axis=1)
         closed = np.bincount(label, weights=leaves | self.seeds, minlength=len(blocks)) == 0
-        # blocks are disjoint sorted lists: in list order, by smallest member
-        return [np.array(block) for block in sorted(blocks[c] for c in np.flatnonzero(closed))]
+        # blocks are disjoint sorted arrays: ordered by smallest member
+        return sorted((blocks[c] for c in np.flatnonzero(closed)), key=lambda rows: rows[0])
 
     @cached_property
     def components(self):

@@ -226,36 +226,44 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     return _radius_of_blocks(vals, cols, *tarjan(cols.T), eps)
 
 
-def _radius_of_blocks(vals, cols, blocks, depth, eps):
+def _radius_of_blocks(vals, cols, blocks, labels, eps):
     """Largest spectral radius, within eps, over `blocks` of the matrix in
     canonical (w, n) tables, given the strongly connected blocks of its
-    support graph and the depths of a depth-first forest that found them.
+    support graph and path-length labels: per block, labels[v] - labels[r]
+    is the length of some path in the block from one fixed node r to v.
 
-    Every node v of a block descends, in that forest, from the block's
-    first-visited node r, and the tree path from r to v stays in the block
-    (each node on it is reached from r and reaches v, which reaches r).  So
-    depth - depth[r] labels the block by path lengths from r, and the gcd
-    of |depth[u] + 1 - depth[v]| over the block's edges is its period
-    (`graphs.labelled_period`; depth[r] cancels).  Each block runs
-    certified bracketed iteration (power iteration handing off to Noda
-    iteration, whose solves alone build dense systems).  A block that raises
-    ConvergenceError is set aside: its bracket holds its radius, so when
-    its upper end lies below the largest block value less eps/2 the block
-    does not set the radius.  Otherwise the failure with the largest upper
-    end is raised, whatever the block order.  No block gives 0.
+    The depths of the depth-first forest that found the blocks are such
+    labels: every node v of a block descends, in that forest, from the
+    block's first-visited node r, and the tree path from r to v stays in
+    the block (each node on it is reached from r and reaches v, which
+    reaches r).  So are the labels that `DeadlockAnalysis.scc` lifts.  The
+    gcd of |labels[u] + 1 - labels[v]| over the block's edges is its period
+    (`graphs.labelled_period`; labels[r] cancels).  A block that holds
+    every row is read in place; another is cut out with `graphs.restrict`.
+    Each block runs certified bracketed iteration (power iteration
+    handing off to Noda iteration, whose solves alone build dense
+    systems).  A block that raises ConvergenceError is set aside: its
+    bracket holds its radius, so when its upper end lies below the largest
+    block value less eps/2 the block does not set the radius.  Otherwise
+    the failure with the largest upper end is raised, whatever the block
+    order.  No block gives 0.
     """
     if not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
         raise InputError("eps must be a positive finite number")
     self_loops = np.where(cols == np.arange(cols.shape[1]), vals, 0.0).sum(axis=0).tolist()
+    labels = np.asarray(labels)
     value, failures = 0.0, []
     for block in blocks:
         if len(block) == 1:
             value = max(value, self_loops[block[0]])
             continue
-        targets = restrict(cols.T, block)
-        sub_cols = targets.T.copy()
-        sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
-        d = labelled_period(targets, [depth[v] for v in block])
+        if len(block) == cols.shape[1]:  # every row, in order
+            sub_vals, sub_cols, sub_labels = vals, cols, labels
+        else:
+            sub_cols = restrict(cols.T, block).T.copy()
+            sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
+            sub_labels = labels[block]
+        d = labelled_period(sub_cols.T, sub_labels)
         try:
             value = max(value, _block_radius(sub_vals, sub_cols, d, eps))
         except ConvergenceError as exc:
@@ -500,11 +508,12 @@ def _surviving_radius(da, eps):
     """Spectral radius of the summed pair matrix restricted to the pairs
     outside every closed deadlock component (every pair when there is
     none).  Transient deadlock pairs stay in the restriction.  Its blocks
-    are those of the analysis's one Tarjan pass (`da.scc`) less the closed
-    components: every stored probability is positive, so the canonical
-    tables of the pair operator have the pair graph's edges, and a block
-    cut from them has the entries it has in the restriction, in the same
-    order, plus zero slots where a move enters a closed component.  The
+    and labels are those the analysis lifts from its one Tarjan pass
+    (`da.scc`), less the closed components: every stored probability is
+    positive, so the canonical tables of the pair operator have the pair
+    graph's edges, and a block cut from them has the entries it has in the
+    restriction, in the same order, plus zero slots where a move enters a
+    closed component.  The
     closed components' rows are zeroed, so that the canonical sort skips
     them.
     """
@@ -512,8 +521,8 @@ def _surviving_radius(da, eps):
     for rows in da.component_rows:
         closed[rows] = True
     vals, cols = _canonical_tables(np.where(closed[:, None], 0.0, da.pa.weight), da.pa.delta2)
-    blocks, depth = da.scc
-    return _radius_of_blocks(vals, cols, [b for b in blocks if not closed[b[0]]], depth, eps)
+    blocks, labels = da.scc
+    return _radius_of_blocks(vals, cols, [b for b in blocks if not closed[b[0]]], labels, eps)
 
 
 def prediction_rate(m):

@@ -26,7 +26,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emsync import (
@@ -660,23 +660,86 @@ def test_traversal_matches_reference_tarjan_and_periods(m):
         assert_traversal_matches_references(targets)
 
 
-@pair_layer_settings
-@given(st.one_of(machines(), permutation_machines(), split_symbol_machines()))
-def test_closed_components_are_closed_deadlock_classes(m):
-    # the analysis reads its components off one Tarjan pass over the whole
-    # pair graph; the reference is the mutual-reachability classes of
-    # deadlock rows that no move leaves
+# Machines whose pair graphs lift from the unordered pairs in each way.
+# One state: no unordered pair.  Two states: the one pair is exact, or the
+# only symbol swaps it, an odd lift (its quotient block is a self-loop of
+# period 1, its lift a 2-cycle of period 2).
+ONE_STATE = EpsilonMachine(["0"], ["a"], [("0", "a", "0", 1.0)], name="one-state")
+TWO_STATE = EpsilonMachine(
+    ["0", "1"], ["a", "b"], [("0", "a", "0", 0.5), ("0", "b", "1", 0.5), ("1", "a", "0", 1.0)]
+)
+SWAP = EpsilonMachine(["0", "1"], ["a"], [("0", "a", "1", 1.0), ("1", "a", "0", 1.0)], check_equivalent=False)
+
+
+def mirror_transient_machine():
+    """Four states: a swaps the states within {0, 1} and within {2, 3}, x
+    and c send every pair into those two sets.  The pairs within them form
+    one closed block, an odd lift.  The transient deadlock pairs (0, 2)
+    and (1, 3), and the mergeable (0, 3) and (1, 2), form two blocks each
+    with their swaps: even lifts, each a mirror pair of 2-cycles with
+    different weights."""
+    probs = [(0.5, 0.3, 0.2), (0.4, 0.35, 0.25), (0.3, 0.45, 0.25), (0.25, 0.35, 0.4)]
+    maps = {"a": [1, 0, 3, 2], "x": [0, 1, 1, 0], "c": [2, 3, 3, 2]}
+    edges = [
+        (str(p), symbol, str(to[p]), w[j])
+        for p, w in enumerate(probs)
+        for j, (symbol, to) in enumerate(maps.items())
+    ]
+    return EpsilonMachine([str(p) for p in range(4)], list(maps), edges, name="mirror-transient")
+
+
+MIRROR_TRANSIENT = mirror_transient_machine()
+
+
+def assert_reverse_topological(targets, blocks):
+    """Every edge ends in its own block or in one listed earlier."""
+    label = np.empty(len(targets), dtype=np.int64)
+    for c, block in enumerate(blocks):
+        label[block] = c
+    rows, slots = np.nonzero(targets >= 0)
+    assert (label[targets[rows, slots]] <= label[rows]).all()
+
+
+def assert_lift_matches_ordered_pair_graph(m):
+    """The analysis makes its one pass over the unordered pairs and lifts
+    it back.  The reference is the ordered pair graph: the blocks of the
+    reference Tarjan (as sets), in a reverse topological order; the
+    closed-walk period of each block, from the lifted labels; the
+    fixed-point mask; and the closed components, the mutual-reachability
+    classes of deadlock rows that no move leaves."""
     pa = build_pair_automaton(m)
     da = mergeable_pairs(pa)
+    blocks, labels = da.scc
+    assert {tuple(b.tolist()) for b in blocks} == set(map(tuple, reference_components(pa.delta2)))
+    assert_reverse_topological(pa.delta2, blocks)
+    for block in blocks:
+        sub = restrict(pa.delta2, block)
+        assert labelled_period(sub, labels[block]) == (reference_period(sub) or 1)
+    mergeable = reference_mergeable(m)
+    assert np.array_equal(da.mask, mergeable)
     reach = reachability(pa.delta2)
     expected = set()
-    for r in np.flatnonzero(~reference_mergeable(m)):
+    for r in np.flatnonzero(~mergeable):
         cls = np.flatnonzero(reach[r] & reach[:, r])
         moves = pa.delta2[cls]
         if np.isin(moves[moves >= 0], cls).all():
             expected.add(tuple(cls.tolist()))
     assert [rows.tolist() for rows in da.component_rows] == [list(c) for c in sorted(expected)]
-    assert da.scc[0] == strongly_connected_components(pa.delta2)
+
+
+@pair_layer_settings
+@given(st.one_of(machines(), permutation_machines(), split_symbol_machines()))
+@example(ONE_STATE)
+@example(TWO_STATE)
+@example(SWAP)
+@example(MIRROR_TRANSIENT)
+def test_closed_components_are_closed_deadlock_classes(m):
+    assert_lift_matches_ordered_pair_graph(m)
+
+
+def test_lift_matches_ordered_pair_graph_on_nonexact_corpus(nonexact_corpus):
+    for m in nonexact_corpus:
+        assert_lift_matches_ordered_pair_graph(m)
 
 
 def pair_tables(m):

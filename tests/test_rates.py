@@ -171,9 +171,9 @@ def tarjan_rows(monkeypatch):
     calls = []
     traverse = graphs.tarjan
 
-    def counting(targets):
+    def counting(targets, flips=None):
         calls.append(len(targets))
-        return traverse(targets)
+        return traverse(targets, flips)
 
     for module in (graphs, pairs, rates):
         monkeypatch.setattr(module, "tarjan", counting, raising=False)
@@ -197,13 +197,14 @@ def analyses(monkeypatch):
 class TestOnePass:
     @pytest.mark.parametrize("entry", [rate_report, sync_rate, escape_rate, prediction_rate])
     def test_rate_runs_one_tarjan_pass_and_no_closure(self, entry, ref_ex, tarjan_rows, analyses):
-        # the blocks of one pass give the closed components and the escape
-        # radius; only a reader of the mask runs the backward closure
+        # the blocks of one pass, over the unordered pairs, give the closed
+        # components and the escape radius; only a reader of the mask runs
+        # the backward closure
         for m in (ref_ex, cycle_machine(12, 3, seed=1)):
             tarjan_rows.clear()
             analyses.clear()
             entry(m)
-            assert tarjan_rows == [m.n * (m.n - 1)]
+            assert tarjan_rows == [m.n * (m.n - 1) // 2]
             (da,) = analyses
             assert "mask" not in vars(da)
 
@@ -212,7 +213,7 @@ class TestOnePass:
         # sync_rate refuses the machine after the pass (test_non_exact_is_rejected)
         with contextlib.suppress(PreconditionError):
             entry(trans_machine)
-        assert tarjan_rows == [trans_machine.n * (trans_machine.n - 1)]
+        assert tarjan_rows == [trans_machine.n * (trans_machine.n - 1) // 2]
 
     def test_classify_runs_the_closure_and_no_tarjan_pass(
         self, ref_ex, trans_machine, tarjan_rows, analyses
