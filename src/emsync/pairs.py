@@ -18,7 +18,7 @@ first coordinate and so differ between a pair and its swap, stay ordered.
 """
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,9 +76,7 @@ def build_pair_automaton(m):
     return PairAutomaton(m)
 
 
-_SWAP_LAYOUTS = {}  # swap_layout(n) of the last few n, oldest first
-
-
+@lru_cache(maxsize=16)
 def swap_layout(n):
     """How the n(n-1) ordered pairs fold onto the n(n-1)/2 unordered pairs
     {p < q}, both in lexicographic order: (upper, node, flipped), where
@@ -87,21 +85,17 @@ def swap_layout(n):
     more slot (-1, False) that answers row -1.  A fact of n alone, kept
     for the last 16 n: every analysis reads it, and on machines of a few
     states building it costs as much as the closure it serves."""
-    if n not in _SWAP_LAYOUTS:
-        p, q = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        off = p != q
-        p, q = p[off], q[off]
-        low = np.minimum(p, q)
-        # a (2n - a - 3) / 2 unordered pairs start below a
-        node = np.append(low * (2 * n - 5 - low) // 2 + p + q - 1, -1)
-        flipped = np.append(p > q, False)
-        upper = np.flatnonzero(p < q)
-        for a in (upper, node, flipped):
-            a.flags.writeable = False
-        if len(_SWAP_LAYOUTS) == 16:
-            del _SWAP_LAYOUTS[next(iter(_SWAP_LAYOUTS))]
-        _SWAP_LAYOUTS[n] = upper, node, flipped
-    return _SWAP_LAYOUTS[n]
+    p, q = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    off = p != q
+    p, q = p[off], q[off]
+    low = np.minimum(p, q)
+    # a (2n - a - 3) / 2 unordered pairs start below a
+    node = np.append(low * (2 * n - 5 - low) // 2 + p + q - 1, -1)
+    flipped = np.append(p > q, False)
+    upper = np.flatnonzero(p < q)
+    for a in (upper, node, flipped):
+        a.flags.writeable = False
+    return upper, node, flipped
 
 
 class DeadlockAnalysis:
@@ -198,23 +192,15 @@ class DeadlockAnalysis:
         node, flipped = node[:-1], flipped[:-1]
         table, flips = self.quotient
         blocks, depth, parity = tarjan(table, flips)
-        if not blocks:
-            return [], np.zeros(0, dtype=np.int64)
-        depth, parity = np.array(depth), np.array(parity, dtype=bool)
+        depth, parity = np.array(depth, dtype=np.int64), np.array(parity, dtype=bool)
         against = flipped ^ parity[node]  # rows in the copy against their parity
-        # a missing move (-1) reads the last node, and `table >= 0` masks it off
-        if len(blocks) == 1:  # every node in one block, every edge inside it
-            breaks = (flips ^ parity[:, None] ^ parity[table]) & (table >= 0)
-            if not breaks.any():
-                return [np.flatnonzero(~against), np.flatnonzero(against)], depth[node]
-            u, j = divmod(int(breaks.argmax()), table.shape[1])
-            return [np.arange(len(node))], depth[node] + against * (depth[u] + 1 - depth[table[u, j]])
         label = np.empty(len(table), dtype=np.int64)
         label[np.fromiter(itertools.chain.from_iterable(blocks), np.int64, len(table))] = np.repeat(
             np.arange(len(blocks)), [len(block) for block in blocks]
         )
         # an edge inside a block breaks parity where the codes 2 label + parity
-        # of its ends differ, after its flip, in the parity bit alone
+        # of its ends differ, after its flip, in the parity bit alone; a
+        # missing move (-1) reads the last node, and `table >= 0` masks it off
         code = 2 * label + parity
         rows, slots = np.nonzero(((code[table] ^ code[:, None] ^ flips) == 1) & (table >= 0))
         breaking = label[rows]
@@ -238,8 +224,8 @@ class DeadlockAnalysis:
         pair reaches some block that no move leaves, so a machine is exact
         exactly when there is none."""
         blocks, _ = self.scc
-        if len(blocks) <= 1:  # no block, or one that holds every row
-            return [] if self.seeds.any() else list(blocks)
+        if not blocks:  # a machine of one state has no pair
+            return []
         label = np.empty(self.pa.count, dtype=np.int64)
         label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
         leaves = ((self.pa.delta2 >= 0) & (label[self.pa.delta2] != label[:, None])).any(axis=1)
