@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .errors import EmsyncError, InputError
-from .machine import parse_machine, random_machine, render_machine
-from .oracle import exact_word_stats, simulate_beliefs
+from .machine import MAX_TRIES, parse_machine, random_machine, render_machine
+from .oracle import ENUM_BUDGET, exact_word_stats, simulate_beliefs
 from .pairs import classify
 from .rates import RATE_EPS, nsyn_bounds, rate_report, sync_rate
 
@@ -206,8 +206,8 @@ def build_parser():
     p.add_argument(
         "--budget",
         type=int,
-        default=10**7,
-        help="enumeration budget in path steps (default 1e7)",
+        default=ENUM_BUDGET,
+        help="enumeration budget in path steps (default %(default)s)",
     )
     p.set_defaults(func=cmd_bounds)
 
@@ -234,7 +234,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p.add_argument("--out", default=None, help="write the machine here instead of stdout")
     p.add_argument(
-        "--max-tries", type=int, default=10000, help="rejection limit (default 10000)"
+        "--max-tries", type=int, default=MAX_TRIES, help="rejection limit (default %(default)s)"
     )
     p.set_defaults(func=cmd_gen)
     return parser
@@ -257,7 +257,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except MemoryError:
-        print("error: out of memory (the machine's pair space is too large)", file=sys.stderr)
+        print("error: out of memory", file=sys.stderr)
         return 3
     return 0
 

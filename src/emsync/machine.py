@@ -29,6 +29,7 @@ from .errors import (
 from .graphs import is_strongly_connected
 
 PROB_TOL = 1e-9  # absolute tolerance for probability comparisons
+MAX_TRIES = 10000  # candidates random_machine draws by default before it gives up
 
 
 class EpsilonMachine:
@@ -436,7 +437,7 @@ def _default_symbols(k):
     return [f"x{i}" for i in range(k)]
 
 
-def random_machine(n, k, density=1.0, seed=0, max_tries=10000):
+def random_machine(n, k, density=1.0, seed=0, max_tries=MAX_TRIES):
     """Sample a valid machine: each (state, symbol) edge present with the
     given density (at least one edge per state), targets uniform, emission
     probabilities flat on the simplex of present edges.

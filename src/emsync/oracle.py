@@ -19,6 +19,8 @@ from .errors import ImpossibleWordError, InputError, ResourceError, nonnegative_
 from .machine import PROB_TOL, stationary_distribution
 from .pairs import build_pair_automaton, mergeable_pairs
 
+ENUM_BUDGET = 10**7  # default step budget of exact_word_stats and nonreset_profile
+
 
 def _extended_tables(m):
     """Transition and log-emission tables with a dead sentinel row.
@@ -189,7 +191,7 @@ class WordStats:
         return f"WordStats(L={self.length}, words={self.word_count}, nsyn={self.nsyn!r})"
 
 
-def exact_word_stats(m, length, budget=10**7, keep_words=False):
+def exact_word_stats(m, length, budget=ENUM_BUDGET, keep_words=False):
     """Enumerate every length-L word of positive probability.
 
     Level iteration keeps one row per word: the endpoint of each start
@@ -258,7 +260,7 @@ def exact_word_stats(m, length, budget=10**7, keep_words=False):
 # -- aggregated word actions ---------------------------------------------------
 
 
-def nonreset_profile(m, max_length, budget=10**7):
+def nonreset_profile(m, max_length, budget=ENUM_BUDGET):
     """Exact per-start-state non-reset probabilities for every length up to
     max_length, by walking deduplicated word actions.
 
@@ -409,10 +411,7 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     by symbol.  The table also gives the averaged log-likelihood ratio
     between the run's start state and each of its deadlock partners.
     """
-    try:
-        runs = operator.index(runs)
-    except TypeError:
-        raise InputError("runs must be an integer") from None
+    runs = nonnegative_integer(runs, "runs")
     if runs < 1:
         raise InputError("runs must be at least 1")
     length = nonnegative_integer(length, "length")

@@ -28,27 +28,31 @@ from .graphs import restrict, tarjan
 class PairAutomaton:
     """Transition structure on ordered pairs (p, q), p != q.
 
-    Pairs are kept in lexicographic order.  delta2 is (m, k) int with -1 for
+    Pairs are kept in lexicographic order; `pairs` is the (m, 2) array of
+    `pair_layout` itself, not a copy.  delta2 is (m, k) int with -1 for
     undefined, weight is (m, k) float carrying the emission probability of
-    the first coordinate (0 where undefined).
+    the first coordinate (0 where undefined), and seeds is the (m,) bool
+    row mask of the pairs that one symbol collapses: both states map to
+    the same state, or the symbol is defined at exactly one of the two
+    (the set image shrinks to a singleton either way).  All four are
+    read-only, and both coordinates' moves are gathered once, for delta2
+    and seeds together.
     """
 
     def __init__(self, machine):
         self.machine = machine
-        n = machine.n
-        p, q = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        off = p != q
-        pairs = np.stack([p[off], q[off]], axis=1)
+        self.pairs = pairs = pair_layout(machine.n)[0]
         tp = machine.delta[pairs[:, 0]]
         tq = machine.delta[pairs[:, 1]]
         alive = (tp >= 0) & (tq >= 0) & (tp != tq)
         delta2 = np.where(alive, self.pair_index(tp, tq), -1)
         weight = np.where(alive, machine.probs[pairs[:, 0]], 0.0)
-        for a in (pairs, delta2, weight):
+        seeds = (~alive & ((tp >= 0) | (tq >= 0))).any(axis=1)
+        for a in (delta2, weight, seeds):
             a.flags.writeable = False
-        self.pairs = pairs
         self.delta2 = delta2
         self.weight = weight
+        self.seeds = seeds
 
     @property
     def count(self):
@@ -77,14 +81,16 @@ def build_pair_automaton(m):
 
 
 @lru_cache(maxsize=16)
-def swap_layout(n):
-    """How the n(n-1) ordered pairs fold onto the n(n-1)/2 unordered pairs
-    {p < q}, both in lexicographic order: (upper, node, flipped), where
-    upper holds the rows with p < q, one per unordered pair, and node and
-    flipped give per row its unordered pair and whether p > q, with one
-    more slot (-1, False) that answers row -1.  A fact of n alone, kept
-    for the last 16 n: every analysis reads it, and on machines of a few
-    states building it costs as much as the closure it serves."""
+def pair_layout(n):
+    """The one enumeration of the pair space of n states: (pairs, upper,
+    node, flipped).  pairs is the (n(n-1), 2) array of the ordered pairs
+    (p, q), p != q, in lexicographic order; upper holds the rows with
+    p < q, one per unordered pair; node and flipped fold the rows onto the
+    n(n-1)/2 unordered pairs {p < q}, also in lexicographic order, giving
+    per row its unordered pair and whether p > q, with one more slot
+    (-1, False) that answers row -1.  A fact of n alone, kept for the last
+    16 n: every analysis reads it, and on machines of a few states building
+    it costs as much as the closure it serves."""
     p, q = np.divmod(np.arange(n * n, dtype=np.int64), n)
     off = p != q
     p, q = p[off], q[off]
@@ -93,9 +99,10 @@ def swap_layout(n):
     node = np.append(low * (2 * n - 5 - low) // 2 + p + q - 1, -1)
     flipped = np.append(p > q, False)
     upper = np.flatnonzero(p < q)
-    for a in (upper, node, flipped):
+    pairs = np.stack([p, q], axis=1)
+    for a in (pairs, upper, node, flipped):
         a.flags.writeable = False
-    return upper, node, flipped
+    return pairs, upper, node, flipped
 
 
 class DeadlockAnalysis:
@@ -104,12 +111,8 @@ class DeadlockAnalysis:
     deadlock part.
 
     pa : the PairAutomaton analysed.
-    seeds : (m,) bool row mask, True on pairs that one symbol collapses:
-        both states map to the same state, or the symbol is defined at
-        exactly one of the two (the set image shrinks to a singleton
-        either way).
     mask : (m,) bool row mask, True on mergeable pairs, those that reach a
-        seed.
+        seed (`pa.seeds`).
     quotient : the pair graph on unordered pairs, with a flip bit per
         move.
     scc : (blocks, labels), the strongly connected blocks of the pair
@@ -120,26 +123,24 @@ class DeadlockAnalysis:
     components : component_rows as tuples of (p, q) pairs.
     mergeable, deadlock : frozensets of the (p, q) pairs on either side of
         the mask.
-    All but pa and seeds are computed on first use: the rates read scc and
+    All but pa are computed on first use: the rates read scc and
     component_rows (and mask only for the error of `sync_rate` on a
     non-exact machine), `classify` and `simulate_beliefs` only mask.
     """
 
     def __init__(self, pa):
         self.pa = pa
-        tp, tq = pa.machine.delta[pa.pairs.T]
-        self.seeds = (((tp >= 0) & (tp == tq)) | ((tp >= 0) != (tq >= 0))).any(axis=1)
 
     @cached_property
     def quotient(self):
         """The pair graph on unordered pairs: (table, flips), both
         (n(n-1)/2, k), rows the unordered pairs {p < q} in lexicographic
-        order (`swap_layout`).  The swap (p, q) -> (q, p) commutes with
+        order (`pair_layout`).  The swap (p, q) -> (q, p) commutes with
         every move, so the ordered graph is the lift of this quotient by
         the Z2 label `flips`: the move of {p < q} on a symbol flips when it
         lands on (t, s) with t > s.  table holds -1 and flips False where
         there is no move.  Read off the rows of delta2 with p < q."""
-        upper, node, flipped = swap_layout(self.pa.machine.n)
+        _, upper, node, flipped = pair_layout(self.pa.machine.n)
         moves = self.pa.delta2[upper]
         return node[moves], flipped[moves]
 
@@ -148,14 +149,14 @@ class DeadlockAnalysis:
         """Backward closure of the seeds over the moves of the quotient,
         gathered back to the ordered rows: a pair and its swap merge
         together."""
-        upper, node, _ = swap_layout(self.pa.machine.n)
+        _, upper, node, _ = pair_layout(self.pa.machine.n)
         table, _ = self.quotient
         # predecessor lists of the quotient graph in CSR form: the sorted
         # flat table, the absent moves (-1) first
         flat = table.ravel()
         indptr = np.cumsum(np.bincount(flat + 1, minlength=len(table) + 1)).tolist()
         preds = (np.argsort(flat, kind="stable") // table.shape[1]).tolist()
-        seeds = self.seeds[upper]
+        seeds = self.pa.seeds[upper]
         merged = seeds.tolist()
         stack = np.flatnonzero(seeds).tolist()
         while stack:
@@ -188,7 +189,7 @@ class DeadlockAnalysis:
         topological.  Mirror blocks carry different weights, so the radius
         and the drifts run on the lifted blocks.
         """
-        _, node, flipped = swap_layout(self.pa.machine.n)
+        _, _, node, flipped = pair_layout(self.pa.machine.n)
         node, flipped = node[:-1], flipped[:-1]
         table, flips = self.quotient
         blocks, depth, parity = tarjan(table, flips)
@@ -229,7 +230,7 @@ class DeadlockAnalysis:
         label = np.empty(self.pa.count, dtype=np.int64)
         label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
         leaves = ((self.pa.delta2 >= 0) & (label[self.pa.delta2] != label[:, None])).any(axis=1)
-        closed = np.bincount(label, weights=leaves | self.seeds, minlength=len(blocks)) == 0
+        closed = np.bincount(label, weights=leaves | self.pa.seeds, minlength=len(blocks)) == 0
         # blocks are disjoint sorted arrays: ordered by smallest member
         return sorted((blocks[c] for c in np.flatnonzero(closed)), key=lambda rows: rows[0])
 

@@ -463,6 +463,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
+        # a simulation on a machine of 2 ordered pairs: the line names no
+        # cause the program did not check, such as the pair space
+        def exhaust_simulation(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "simulate_beliefs", exhaust_simulation)
+        argv = ("simulate", str(machine_dir / "M_NE.em"), "--length", "10", "--runs", "10")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
 
 class TestDeterminism:
     def test_simulate_byte_identical(self, capsys, machine_dir):

@@ -623,5 +623,7 @@ class TestSimulateBeliefs:
         # read with operator.index: a float is refused, not truncated
         with pytest.raises(InputError, match="runs must be an integer"):
             simulate_beliefs(ref_ne, 10, 2.5, seed=0)
+        with pytest.raises(InputError, match="runs must be nonnegative"):
+            simulate_beliefs(ref_ne, 10, -3, seed=0)
         with pytest.raises(InputError, match="seed must be an integer"):
             simulate_beliefs(ref_ne, 10, 5, seed=1.5)

@@ -54,6 +54,7 @@ from emsync.graphs import (
     tarjan,
 )
 from emsync.machine import chain_matrix
+from emsync.pairs import pair_layout
 from perfbench import gen
 
 pair_layer_settings = settings(
@@ -706,8 +707,27 @@ def assert_lift_matches_ordered_pair_graph(m):
     reference Tarjan (as sets), in a reverse topological order; the
     closed-walk period of each block, from the lifted labels; the
     fixed-point mask; and the closed components, the mutual-reachability
-    classes of deadlock rows that no move leaves."""
+    classes of deadlock rows that no move leaves.  The automaton's rows are
+    the layout's one read-only array, whose fold sends a row and its swap
+    to one unordered pair, and its seeds match a per-pair reference."""
     pa = build_pair_automaton(m)
+    pairs, upper, node, flipped = pair_layout(m.n)
+    assert pa.pairs is pairs and build_pair_automaton(m).pairs is pairs
+    assert not pairs.flags.writeable
+    p, q = pairs.T
+    assert np.array_equal(node[:-1], node[pa.pair_index(q, p)])
+    assert np.array_equal(upper, np.flatnonzero(p < q))
+    assert np.array_equal(node[upper], np.arange(m.n * (m.n - 1) // 2))
+    assert np.array_equal(flipped[:-1], p > q)
+    assert (node[-1], flipped[-1]) == (-1, False)
+    seeds = [
+        any(
+            (tp < 0) != (tq < 0) or (tp >= 0 and tp == tq)
+            for tp, tq in zip(m.delta[a].tolist(), m.delta[b].tolist())
+        )
+        for a, b in pairs.tolist()
+    ]
+    assert pa.seeds.tolist() == seeds
     da = mergeable_pairs(pa)
     blocks, labels = da.scc
     assert {tuple(b.tolist()) for b in blocks} == set(map(tuple, reference_components(pa.delta2)))
