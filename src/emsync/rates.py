@@ -408,45 +408,55 @@ def edge_machine_stats(component, pa):
     return EdgeMachineStats(tuple(component), rho, edge_states, edge_rho, f_values, expectation)
 
 
-def _drift_bracket(rows, pa):
+def _drift_bracket(rows, pa, labels):
     """Certified interval [lo, hi] holding the drift of the closed strongly
     connected component `rows`, from relative value iteration on its
-    sparse tables; a component of c pairs over k symbols builds a c x c
-    matrix only when c^2 <= 3 k DRIFT_MAX_STEPS (see below).
+    sparse tables; `labels` are path-length labels of the pair graph's rows
+    (`DeadlockAnalysis.scc`), which give the component's period.  A
+    component of c pairs over k symbols builds a c x c matrix only when
+    c^2 <= 3 k DRIFT_MAX_STEPS (see below).
 
     Let P be the component chain, g_i = sum_j w_ij ln(w_ij / P(j|q_i)) the
     expected log ratio out of pair i, and rho the left Perron vector of P
     (its equilibrium), rho P = lam rho, rho.1 = 1; the drift is E = rho.g.
-    On the lazy chain P' = (I + P)/2, for any vector h, r = g + P'h - h
-    gives rho.r = E + (lam - 1) rho.h / 2, so E lies in [min r, max r]
-    widened by |lam - 1| |h|/2 <= delta |h|/2, where delta is the rows' sum
-    defect max_i |1 - sum_j w_ij| (Odoni, Oper. Res. 17, 1969; lam lies
-    between the extreme row sums).  Each step sets h <- h + r - r_0 at
-    O(c k) cost; the laziness makes the chain aperiodic, so the span of r
-    shrinks to 0.  A component of at most DENSE_SEED_PAIRS pairs first
-    takes h from one dense Poisson solve (I - P)h + E 1 = g, h_0 = 0,
-    doubled for the lazy chain; its bracket then closes in about one step.
-    A larger component starts from h = 0 and switches once to that seed as
-    soon as its bracket is predicted to need more than c further steps
-    (`_steps_to_close`), if c^2 <= 3 k DRIFT_MAX_STEPS.  That is the size up
-    to which the seed is the cheaper way past the step cap: its LU takes
-    about c^3 / 3 multiply-adds and a step about k c, so the seed costs no
-    more than the steps to the cap while c^3 / 3 <= k c DRIFT_MAX_STEPS.
-    A component above it never builds a c x c matrix.
+    For any vector h, r = g + Ph - h gives rho.r = E + (lam - 1) rho.h, so
+    E lies in [min r, max r] widened by |lam - 1| |h| <= delta |h|, where
+    delta is the rows' sum defect max_i |1 - sum_j w_ij| (Odoni, Oper. Res.
+    17, 1969; lam lies between the extreme row sums).  Each step sets
+    h <- h + beta (r - r_0) at O(c k) cost.  On an aperiodic component
+    beta = 1, and the span of r shrinks as the largest modulus of P's
+    eigenvalues other than 1.  Where the period d exceeds 1, P has other
+    eigenvalues on the unit circle and the span would oscillate, so
+    beta = 1/2: relative value iteration on the lazy chain (I + P)/2, which
+    is aperiodic (Puterman, Markov Decision Processes, 1994, 8.5.4), with
+    its h halved.  The period is read from the labels
+    (`graphs.labelled_period`) at the first update of h, so a component
+    whose first step closes never reads it.  A
+    component of at most DENSE_SEED_PAIRS pairs first takes h from one
+    dense Poisson solve (I - P)h + E 1 = g, h_0 = 0; its bracket then
+    closes in about one step.  A larger component starts from h = 0 and
+    switches once to that seed as soon as its bracket is predicted to need
+    more than c further steps (`_steps_to_close`), if c^2 <= 3 k
+    DRIFT_MAX_STEPS.  That is the size up to which the seed is the cheaper
+    way past the step cap: its LU takes about c^3 / 3 multiply-adds and a
+    step about k c, so the seed costs no more than the steps to the cap
+    while c^3 / 3 <= k c DRIFT_MAX_STEPS.  A component above it never
+    builds a c x c matrix.
 
     Iteration stops once max r - min r <= DRIFT_EPS.  Each end is then
     widened by omega = 2 (k + 5) u (max_i G_i + (1 + delta) |h|) +
-    delta |h| / 2, with u the unit roundoff, |h| = max_i |h_i| and
+    delta |h|, with u the unit roundoff, |h| = max_i |h_i| and
     G_i = sum_j w_ij (|ln(w_ij / P(j|q_i))| + 1).  With a libm log within
     one ulp, each term of g is within 4 u w_ij (|ln| + 1) of exact and
     their sum within (k - 1) u G_i more, so |g_i error| <= (k + 3) u G_i;
-    the k products and sums of a step, the subtraction of h and the
-    addition of g put r within (k + 3) u (1 + delta) |h| + u |g_i| of its
-    exact value for the h at hand, and |g_i| <= G_i.  The factor 2 covers
-    second-order terms and the rounding of omega and of lo - omega and
-    hi + omega; delta is computed plus (k + 1) u for the rounding of the
-    row sums.  Raises ConvergenceError, with the widened bracket of the
-    last step, after DRIFT_MAX_STEPS steps.
+    the k products and sums of a step and the subtraction of h put Ph - h
+    within (k + 3) u (1 + delta) |h| of its exact value for the h at hand,
+    and the addition of g adds u |r_i| <= u (G_i + (2 + delta) |h|).  The
+    factor 2 covers second-order terms and the rounding of omega and of
+    lo - omega and hi + omega; delta is computed plus (k + 1) u for the
+    rounding of the row sums.  beta enters neither bound: it sets the next
+    h, and the bracket holds for any h.  Raises ConvergenceError, with the
+    widened bracket of the last step, after DRIFT_MAX_STEPS steps.
     """
     vals, cols = pa.weight[rows].T.copy(), pa.moves_within(rows).T.copy()
     k, c = vals.shape
@@ -460,30 +470,31 @@ def _drift_bracket(rows, pa):
     seed = c * c <= 3 * k * DRIFT_MAX_STEPS  # a dense seed is still allowed
     if c <= DENSE_SEED_PAIRS:
         h, seed = _poisson_seed(vals, cols, g, h), False
-    widths = []
+    widths, beta = [], None
     while True:
-        r = g + 0.5 * (_step(vals, cols, h) - h)
+        r = g + (_step(vals, cols, h) - h)
         lo, hi = float(r.min()), float(r.max())
         widths.append(hi - lo)
         if hi - lo <= DRIFT_EPS or len(widths) == DRIFT_MAX_STEPS:
             break
         if seed and _steps_to_close(widths, DRIFT_EPS) > c:
             h, seed = _poisson_seed(vals, cols, g, h), False
-        else:
-            h = h + (r - r[0])
+            continue
+        if beta is None:
+            beta = 1.0 if labelled_period(cols.T, labels[rows]) == 1 else 0.5
+        h = h + beta * (r - r[0])
     size = float(np.abs(h).max())
-    omega = 2 * (k + 5) * _UNIT_ROUNDOFF * (spread + (1.0 + delta) * size) + 0.5 * delta * size
+    omega = 2 * (k + 5) * _UNIT_ROUNDOFF * (spread + (1.0 + delta) * size) + delta * size
     if hi - lo > DRIFT_EPS:
         raise ConvergenceError("drift iteration hit the step cap", bracket=(lo - omega, hi + omega))
     return lo - omega, hi + omega
 
 
 def _poisson_seed(vals, cols, g, h):
-    """h from one dense Poisson solve (I - P)h + E 1 = g with h_0 = 0,
-    doubled for the lazy chain, for the component chain P in the (k, c)
-    tables; the given h when the solve is singular or not finite.  I - P is
-    built as one c x c array, -P from the tables plus 1 on the diagonal,
-    with the roundings of I - P."""
+    """h from one dense Poisson solve (I - P)h + E 1 = g with h_0 = 0, for
+    the component chain P in the (k, c) tables; the given h when the solve
+    is singular or not finite.  I - P is built as one c x c array, -P from
+    the tables plus 1 on the diagonal, with the roundings of I - P."""
     A = chain_matrix(cols.T, -vals.T)
     A.flat[:: A.shape[0] + 1] += 1.0
     A[:, 0] = 1.0  # column 0 multiplies h_0 = 0; it now carries E
@@ -493,7 +504,6 @@ def _poisson_seed(vals, cols, g, h):
         return h
     if not np.isfinite(x).all():
         return h
-    x *= 2.0
     x[0] = 0.0
     return x
 
@@ -501,7 +511,8 @@ def _poisson_seed(vals, cols, g, h):
 def _drifts(pa, da):
     """Certified drift interval of each closed deadlock component, in
     component order; an exact machine has none."""
-    return [_drift_bracket(rows, pa) for rows in da.component_rows]
+    labels = da.scc[1]
+    return [_drift_bracket(rows, pa, labels) for rows in da.component_rows]
 
 
 def _surviving_radius(da, eps):

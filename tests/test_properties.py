@@ -527,7 +527,7 @@ def test_closed_component_first_coordinate_is_stationary(m):
 def assert_drift_brackets_hold_dense_drift(m):
     pa, da = deadlock_analysis(m)
     for comp, rows in zip(da.components, da.component_rows):
-        lo, hi = rates._drift_bracket(rows, pa)
+        lo, hi = rates._drift_bracket(rows, pa, da.scc[1])
         assert lo <= edge_machine_stats(comp, pa).expectation <= hi
 
 

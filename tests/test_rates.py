@@ -97,6 +97,24 @@ def rare_b_machine(n):
     return parse_machine(spec.text())
 
 
+def block_swap_machine(k, seed):
+    """Non-exact machine on 6 states whose symbols all swap the blocks
+    {0, 1, 2} and {3, 4, 5}: symbol s0 is the 6-cycle 0 3 1 4 2 5, the
+    others random bijections between the blocks.  A pair's first state
+    alternates between the blocks, so every closed component has an even
+    period."""
+    rng = np.random.default_rng(seed)
+    probs = 0.5 * rng.dirichlet(np.ones(k), size=6) + 0.5 / k
+    edges = []
+    for j in range(k):
+        if j == 0:
+            image = np.array([3, 4, 5, 1, 2, 0])
+        else:
+            image = np.concatenate([3 + rng.permutation(3), rng.permutation(3)])
+        edges += [(str(i), f"s{j}", str(image[i]), float(probs[i, j])) for i in range(6)]
+    return EpsilonMachine([str(i) for i in range(6)], [f"s{j}" for j in range(k)], edges)
+
+
 def dense_radius(A):
     return float(np.abs(np.linalg.eigvals(np.asarray(A))).max())
 
@@ -751,7 +769,7 @@ class TestDriftBracket:
         assert solve_calls == [4] and steps == [4]
 
     def test_slow_component_switches_once_to_dense_seed(self, solve_calls, monkeypatch):
-        # one closed component of 30 pairs, 225 steps from h = 0
+        # one closed component of 30 pairs, aperiodic, 128 steps from h = 0
         m = permutation_cycle_machine(6, seed=0)
         pa, da = deadlock_analysis(m)
         (rows,) = da.component_rows
@@ -759,14 +777,41 @@ class TestDriftBracket:
         solve_calls.clear()
         monkeypatch.setattr(rates, "DENSE_SEED_PAIRS", 15)  # no seed up front
         monkeypatch.setattr(rates, "DRIFT_MAX_STEPS", 150)  # 30^2 <= 3 * 2 * 150
-        lo, hi = rates._drift_bracket(rows, pa)
+        lo, hi = rates._drift_bracket(rows, pa, da.scc[1])
         assert solve_calls == [30] and lo <= expected <= hi
         solve_calls.clear()
-        monkeypatch.setattr(rates, "DRIFT_MAX_STEPS", 149)  # above the bound: no dense seed
+        monkeypatch.setattr(rates, "DRIFT_MAX_STEPS", 100)  # 30^2 > 3 * 2 * 100: no dense seed
         with pytest.raises(ConvergenceError) as exc:
-            rates._drift_bracket(rows, pa)
+            rates._drift_bracket(rows, pa, da.scc[1])
         lo, hi = exc.value.bracket
         assert solve_calls == [] and lo <= expected <= hi
+
+    def test_periodic_components_keep_the_lazy_chain(self, monkeypatch):
+        # on a component of period d > 1 relative value iteration on P itself
+        # oscillates; every component iterates from h = 0 and must close
+        monkeypatch.setattr(rates, "_poisson_seed", lambda vals, cols, g, h: h)
+        components = 0
+        for k in (2, 3):
+            for seed in range(4):
+                pa, da = deadlock_analysis(block_swap_machine(k, seed))
+                for comp, rows in zip(da.components, da.component_rows):
+                    assert graphs.component_period(graphs.restrict(pa.delta2, rows)) % 2 == 0
+                    lo, hi = rates._drift_bracket(rows, pa, da.scc[1])
+                    assert lo <= edge_machine_stats(comp, pa).expectation <= hi
+                    components += 1
+        assert components == 22
+
+    def test_aperiodic_component_iterates_its_own_chain(self, step_calls):
+        # 992 pairs over 2 symbols, above the seed bound (992^2 > 3 * 2 *
+        # DRIFT_MAX_STEPS), so it iterates from h = 0 alone: 92 steps on P,
+        # 180 on the lazy chain (I + P)/2
+        m = parse_machine(gen.permutation_spec(32, 2, np.random.default_rng(1), "perm-32").text())
+        pa, da = deadlock_analysis(m)
+        (rows,) = da.component_rows
+        step_calls.clear()
+        lo, hi = rates._drift_bracket(rows, pa, da.scc[1])
+        assert step_calls == [992] * 92
+        assert lo <= edge_machine_stats(da.components[0], pa).expectation <= hi
 
     def test_dense_seed_holds_one_system(self, solve_calls):
         # a 240-pair component seeds from one Poisson solve: I - P is the one
@@ -779,7 +824,7 @@ class TestDriftBracket:
         c = len(rows)
         assert c == 240 <= rates.DENSE_SEED_PAIRS
         solve_calls.clear()
-        assert dense_copies(lambda: rates._drift_bracket(rows, pa), c) < 1.5
+        assert dense_copies(lambda: rates._drift_bracket(rows, pa, da.scc[1]), c) < 1.5
         assert solve_calls == [c]
 
     def test_rare_b_24_switches_to_dense_seed(self, solve_calls):
