@@ -458,14 +458,14 @@ def random_machine(n, k, density=1.0, seed=0, max_tries=MAX_TRIES):
     given seed; raises GenerationError after max_tries rejections, and
     InputError when n, k, seed or max_tries is not an integer, n, k or
     max_tries is below 1, seed is negative, or density is not a real
-    number in (0, 1].
+    number in (0, 1] (a bool is refused).
     """
     n, k = nonnegative_integer(n, "n"), nonnegative_integer(k, "k")
     seed = nonnegative_integer(seed, "seed")
     max_tries = nonnegative_integer(max_tries, "max_tries")
     if n < 1 or k < 1:
         raise InputError("need n >= 1 and k >= 1")
-    if not (isinstance(density, numbers.Real) and 0.0 < density <= 1.0):
+    if isinstance(density, bool) or not (isinstance(density, numbers.Real) and 0.0 < density <= 1.0):
         raise InputError("density must lie in (0, 1]")
     if max_tries < 1:
         raise InputError("max_tries must be at least 1")

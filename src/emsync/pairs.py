@@ -115,9 +115,10 @@ class DeadlockAnalysis:
         seed (`pa.seeds`).
     quotient : the pair graph on unordered pairs, with a flip bit per
         move.
-    scc : (blocks, labels), the strongly connected blocks of the pair
-        graph and path-length labels that give their periods, lifted from
-        one Tarjan pass over the quotient (`graphs.tarjan`).
+    scc : (blocks, labels, closed), the strongly connected blocks of the
+        pair graph, and per row a path-length label that gives its block's
+        period and whether its block is closed (no seed, no move out), all
+        lifted from one Tarjan pass over the quotient (`graphs.tarjan`).
     component_rows : rows of each closed deadlock component, ordered by
         their smallest member, members sorted.
     components : component_rows as tuples of (p, q) pairs.
@@ -169,9 +170,11 @@ class DeadlockAnalysis:
 
     @cached_property
     def scc(self):
-        """(blocks, labels): the strongly connected blocks of the ordered
-        pair graph, each a sorted row array, in reverse topological order,
-        and per row a path-length label for `graphs.labelled_period`.
+        """(blocks, labels, closed): the strongly connected blocks of the
+        ordered pair graph, each a sorted row array, in reverse topological
+        order; per row a path-length label for `graphs.labelled_period`;
+        and per row whether its block is closed, holding no seed with no
+        move leaving it.
 
         One `graphs.tarjan` pass over the quotient gives its blocks, depths
         and parities (the flips along each tree path).  A quotient block C
@@ -188,8 +191,14 @@ class DeadlockAnalysis:
         in the order of their quotient blocks, which keeps it reverse
         topological.  Mirror blocks carry different weights, so the radius
         and the drifts run on the lifted blocks.
+
+        A lifted block is closed exactly when its quotient block C is: a
+        pair and its swap are seeds together, and a move of a row projects
+        to a move of its pair, so a move leaves the lift of C exactly when
+        its projection leaves C; and no move goes from a mirror block to
+        the other, since such an edge, inside C, would break parity.
         """
-        _, _, node, flipped = pair_layout(self.pa.machine.n)
+        _, upper, node, flipped = pair_layout(self.pa.machine.n)
         node, flipped = node[:-1], flipped[:-1]
         table, flips = self.quotient
         blocks, depth, parity = tarjan(table, flips)
@@ -199,40 +208,39 @@ class DeadlockAnalysis:
         label[np.fromiter(itertools.chain.from_iterable(blocks), np.int64, len(table))] = np.repeat(
             np.arange(len(blocks)), [len(block) for block in blocks]
         )
-        # an edge inside a block breaks parity where the codes 2 label + parity
-        # of its ends differ, after its flip, in the parity bit alone; a
-        # missing move (-1) reads the last node, and `table >= 0` masks it off
+        # the codes 2 label + parity of an edge's ends, after its flip, differ
+        # in the label bits where it leaves its block and in the parity bit
+        # alone where it breaks parity inside it; a missing move (-1) reads the
+        # last node, and `table >= 0` masks it off
         code = 2 * label + parity
-        rows, slots = np.nonzero(((code[table] ^ code[:, None] ^ flips) == 1) & (table >= 0))
+        differ = (code[table] ^ code[:, None] ^ flips) * (table >= 0)
+        rows, slots = np.nonzero(differ == 1)
         breaking = label[rows]
-        odd = np.zeros(len(blocks), dtype=bool)
-        odd[breaking] = True
+        odd = np.bincount(breaking, minlength=len(blocks)) > 0
         shift = np.zeros(len(blocks), dtype=np.int64)
         shift[breaking] = depth[rows] + 1 - depth[table[rows, slots]]
+        exits = (differ > 1).any(axis=1) | self.pa.seeds[upper]  # a move out, or a seed
+        closed = np.bincount(label[exits], minlength=len(blocks)) == 0
+        del differ  # not held while the row-sized arrays below are built
         block = label[node]
         key = 2 * block + (against & ~odd[block])
         order = np.argsort(key, kind="stable")
         ends = np.cumsum(np.bincount(key, minlength=2 * len(blocks))).tolist()
-        return [order[a:b] for a, b in zip([0] + ends, ends) if b > a], depth[node] + against * shift[block]
+        labels = depth[node] + against * shift[block]
+        return [order[a:b] for a, b in zip([0] + ends, ends) if b > a], labels, closed[block]
 
     @cached_property
     def component_rows(self):
-        """The blocks that hold no seed and that no move leaves.  A block
-        that no move leaves reaches only itself, so it is deadlock exactly
-        when it holds no seed.  Deadlock pairs move only to deadlock pairs
-        (a move to a mergeable pair would merge), so a closed component of
-        the deadlock subgraph is such a block of the whole graph.  Every
-        pair reaches some block that no move leaves, so a machine is exact
-        exactly when there is none."""
-        blocks, _ = self.scc
-        if not blocks:  # a machine of one state has no pair
-            return []
-        label = np.empty(self.pa.count, dtype=np.int64)
-        label[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-        leaves = ((self.pa.delta2 >= 0) & (label[self.pa.delta2] != label[:, None])).any(axis=1)
-        closed = np.bincount(label, weights=leaves | self.pa.seeds, minlength=len(blocks)) == 0
+        """The closed blocks of `scc`, those that hold no seed and that no
+        move leaves.  A block that no move leaves reaches only itself, so
+        it is deadlock exactly when it holds no seed.  Deadlock pairs move
+        only to deadlock pairs (a move to a mergeable pair would merge), so
+        a closed component of the deadlock subgraph is such a block of the
+        whole graph.  Every pair reaches some block that no move leaves, so
+        a machine is exact exactly when there is none."""
+        blocks, _, closed = self.scc
         # blocks are disjoint sorted arrays: ordered by smallest member
-        return sorted((blocks[c] for c in np.flatnonzero(closed)), key=lambda rows: rows[0])
+        return sorted((rows for rows in blocks if closed[rows[0]]), key=lambda rows: rows[0])
 
     @cached_property
     def components(self):
@@ -266,12 +274,10 @@ def deadlock_components(da, pa):
 
 
 def deadlock_analysis(m):
-    """Full pair-space pipeline; returns (PairAutomaton, DeadlockAnalysis)
-    with the closed components computed."""
+    """Full pair-space pipeline; returns (PairAutomaton, DeadlockAnalysis),
+    every fact of the analysis computed on first read."""
     pa = build_pair_automaton(m)
-    da = mergeable_pairs(pa)
-    deadlock_components(da, pa)
-    return pa, da
+    return pa, mergeable_pairs(pa)
 
 
 def classify(m):

@@ -205,9 +205,9 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     The support graph is condensed into strongly connected blocks by one
     Tarjan pass (`graphs.tarjan`), whose depths also give each block's
     period, and `_radius_of_blocks` returns the largest block radius.  A
-    zero matrix gives 0.  eps must be a positive finite number; one below
-    the floating-point resolution of the block that sets the radius raises
-    ConvergenceError with that block's bracket.
+    zero matrix gives 0.  eps must be a positive finite number, not a
+    bool; one below the floating-point resolution of the block that sets
+    the radius raises ConvergenceError with that block's bracket.
     """
     vals = np.asarray(mat, dtype=float)
     if columns is None:
@@ -248,7 +248,7 @@ def _radius_of_blocks(vals, cols, blocks, labels, eps):
     the failure with the largest upper end is raised, whatever the block
     order.  No block gives 0.
     """
-    if not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
+    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
         raise InputError("eps must be a positive finite number")
     self_loops = np.where(cols == np.arange(cols.shape[1]), vals, 0.0).sum(axis=0).tolist()
     labels = np.asarray(labels)
@@ -520,19 +520,15 @@ def _surviving_radius(da, eps):
     outside every closed deadlock component (every pair when there is
     none).  Transient deadlock pairs stay in the restriction.  Its blocks
     and labels are those the analysis lifts from its one Tarjan pass
-    (`da.scc`), less the closed components: every stored probability is
-    positive, so the canonical tables of the pair operator have the pair
+    (`da.scc`), less the blocks it flags closed: every stored probability
+    is positive, so the canonical tables of the pair operator have the pair
     graph's edges, and a block cut from them has the entries it has in the
     restriction, in the same order, plus zero slots where a move enters a
-    closed component.  The
-    closed components' rows are zeroed, so that the canonical sort skips
-    them.
+    closed component.  The closed rows are zeroed, so that the canonical
+    sort skips them.
     """
-    closed = np.zeros(da.pa.count, dtype=bool)
-    for rows in da.component_rows:
-        closed[rows] = True
+    blocks, labels, closed = da.scc
     vals, cols = _canonical_tables(np.where(closed[:, None], 0.0, da.pa.weight), da.pa.delta2)
-    blocks, labels = da.scc
     return _radius_of_blocks(vals, cols, [b for b in blocks if not closed[b[0]]], labels, eps)
 
 

@@ -327,6 +327,15 @@ class TestExitCodes:
         assert err.startswith("error:") and "cannot read" in err
         assert len(err.splitlines()) == 1
 
+    def test_machine_file_with_utf8_bom(self, capsys, machine_dir, tmp_path):
+        # a UTF-8 byte-order mark, as some editors save it, is not a directive
+        plain = machine_dir / "M_EX.em"
+        marked = tmp_path / "M_EX.em"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "validate", str(plain), "--format", "kv")
+        assert expected[0] == 0
+        assert run(capsys, "validate", str(marked), "--format", "kv") == expected
+
     def test_gen_out_directory_missing(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.em"
         code, out, err = run(capsys, "gen", "--states", "3", "--symbols", "2", "--out", str(target))

@@ -443,6 +443,7 @@ class TestRandomMachine:
             ((3, 2), {"max_tries": 2.5}, "max_tries"),
             ((3, 2), {"density": "0.5"}, "density"),
             ((3, 2), {"density": None}, "density"),
+            ((3, 2), {"density": True}, "density"),
         ],
     )
     def test_argument_types(self, args, kwargs, name):

@@ -729,7 +729,7 @@ def assert_lift_matches_ordered_pair_graph(m):
     ]
     assert pa.seeds.tolist() == seeds
     da = mergeable_pairs(pa)
-    blocks, labels = da.scc
+    blocks, labels, _ = da.scc
     assert {tuple(b.tolist()) for b in blocks} == set(map(tuple, reference_components(pa.delta2)))
     assert_reverse_topological(pa.delta2, blocks)
     for block in blocks:

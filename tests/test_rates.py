@@ -217,7 +217,8 @@ class TestOnePass:
     def test_rate_runs_one_tarjan_pass_and_no_closure(self, entry, ref_ex, tarjan_rows, analyses):
         # the blocks of one pass, over the unordered pairs, give the closed
         # components and the escape radius; only a reader of the mask runs
-        # the backward closure
+        # the backward closure, and no rate builds the tuple view of the
+        # components
         for m in (ref_ex, cycle_machine(12, 3, seed=1)):
             tarjan_rows.clear()
             analyses.clear()
@@ -225,13 +226,16 @@ class TestOnePass:
             assert tarjan_rows == [m.n * (m.n - 1) // 2]
             (da,) = analyses
             assert "mask" not in vars(da)
+            assert "components" not in vars(da)
 
     @pytest.mark.parametrize("entry", [rate_report, sync_rate, escape_rate, prediction_rate])
-    def test_non_exact_rate_runs_one_tarjan_pass(self, entry, trans_machine, tarjan_rows):
+    def test_non_exact_rate_runs_one_tarjan_pass(self, entry, trans_machine, tarjan_rows, analyses):
         # sync_rate refuses the machine after the pass (test_non_exact_is_rejected)
         with contextlib.suppress(PreconditionError):
             entry(trans_machine)
         assert tarjan_rows == [trans_machine.n * (trans_machine.n - 1) // 2]
+        (da,) = analyses
+        assert "components" not in vars(da)
 
     def test_classify_runs_the_closure_and_no_tarjan_pass(
         self, ref_ex, trans_machine, tarjan_rows, analyses
@@ -384,9 +388,10 @@ class TestSpectralRadius:
         with pytest.raises(InputError, match="finite"):
             spectral_radius(A)
 
-    # a non-number would fail the comparison with 0 as a bare TypeError
+    # a non-number would fail the comparison with 0 as a bare TypeError, and
+    # a bool is a `numbers.Real` that would pass as 1
     @pytest.mark.parametrize(
-        "eps", [math.nan, math.inf, -math.inf, -1e-9, "1e-9", "x", None, [1e-9]]
+        "eps", [math.nan, math.inf, -math.inf, -1e-9, "1e-9", "x", None, [1e-9], True]
     )
     def test_eps_must_be_positive_and_finite(self, eps, ref_ex):
         with pytest.raises(InputError, match="eps must be a positive finite number"):
