@@ -64,8 +64,11 @@ class InputError(EmsyncError):
 def nonnegative_integer(value, name):
     """value as an int, read with `operator.index` so that a float is
     refused rather than truncated; InputError unless it is a nonnegative
-    integer."""
+    integer.  A bool is refused too, although `operator.index` reads it as
+    0 or 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer") from None

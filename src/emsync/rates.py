@@ -202,12 +202,13 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     and columns are (rows, w) tables of one sparse square matrix: row a has
     entry mat[a, j] in column columns[a, j], -1 meaning no entry, and
     entries sharing a column add up (the matrix `chain_matrix` builds).
-    The support graph is condensed into strongly connected blocks by one
-    Tarjan pass (`graphs.tarjan`), whose depths also give each block's
-    period, and `_radius_of_blocks` returns the largest block radius.  A
-    zero matrix gives 0.  eps must be a positive finite number, not a
-    bool; one below the floating-point resolution of the block that sets
-    the radius raises ConvergenceError with that block's bracket.
+    The support graph (the columns of the positive entries) is condensed
+    into strongly connected blocks by one Tarjan pass (`graphs.tarjan`),
+    whose depths also give each block's period, and `_radius_of_blocks`
+    returns the largest block radius.  A zero matrix gives 0.  eps must
+    be a positive finite number, not a bool; one below the floating-point
+    resolution of the block that sets the radius raises ConvergenceError
+    with that block's bracket.
     """
     vals = np.asarray(mat, dtype=float)
     if columns is None:
@@ -222,15 +223,14 @@ def spectral_radius(mat, eps=1e-10, columns=None):
             raise InputError("columns must lie between -1 and the row count - 1")
     if not (np.isfinite(vals).all() and (vals >= 0).all()):
         raise InputError("matrix entries must be finite and nonnegative")
-    vals, cols = _canonical_tables(vals, cols)
-    return _radius_of_blocks(vals, cols, *tarjan(cols.T), eps)
+    return _radius_of_blocks(vals, cols, *tarjan(np.where(vals > 0, cols, -1)), eps)
 
 
 def _radius_of_blocks(vals, cols, blocks, labels, eps):
     """Largest spectral radius, within eps, over `blocks` of the matrix in
-    canonical (w, n) tables, given the strongly connected blocks of its
-    support graph and path-length labels: per block, labels[v] - labels[r]
-    is the length of some path in the block from one fixed node r to v.
+    (n, w) tables, given the strongly connected blocks of its support graph
+    and path-length labels: per block, labels[v] - labels[r] is the length
+    of some path in the block from one fixed node r to v.
 
     The depths of the depth-first forest that found the blocks are such
     labels: every node v of a block descends, in that forest, from the
@@ -238,30 +238,31 @@ def _radius_of_blocks(vals, cols, blocks, labels, eps):
     the block (each node on it is reached from r and reaches v, which
     reaches r).  So are the labels that `DeadlockAnalysis.scc` lifts.  The
     gcd of |labels[u] + 1 - labels[v]| over the block's edges is its period
-    (`graphs.labelled_period`; labels[r] cancels).  A block that holds
-    every row is read in place; another is cut out with `graphs.restrict`.
-    Each block runs certified bracketed iteration (power iteration
-    handing off to Noda iteration, whose solves alone build dense
-    systems).  A block that raises ConvergenceError is set aside: its
-    bracket holds its radius, so when its upper end lies below the largest
-    block value less eps/2 the block does not set the radius.  Otherwise
-    the failure with the largest upper end is raised, whatever the block
-    order.  No block gives 0.
+    (`graphs.labelled_period`; labels[r] cancels).  A one-row block reads
+    its self-loop from its row.  Another is canonicalised on its own, its
+    rows cut out with `graphs.restrict` (a block of every row needs no
+    cut), so its tables and their width are those of the block alone.
+    Each runs certified bracketed iteration (power iteration handing off
+    to Noda iteration, whose solves alone build dense systems).  A block
+    that raises ConvergenceError is set aside: its bracket holds its
+    radius, so when its upper end lies below the largest block value less
+    eps/2 the block does not set the radius.  Otherwise the failure with
+    the largest upper end is raised, whatever the block order.  No block
+    gives 0.
     """
     if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
         raise InputError("eps must be a positive finite number")
-    self_loops = np.where(cols == np.arange(cols.shape[1]), vals, 0.0).sum(axis=0).tolist()
     labels = np.asarray(labels)
     value, failures = 0.0, []
     for block in blocks:
-        if len(block) == 1:
-            value = max(value, self_loops[block[0]])
+        if len(block) == 1:  # cumsum adds in table order, as the canonical sum does
+            (v,) = block
+            value = max(value, float(np.cumsum(np.append(0.0, vals[v][cols[v] == v]))[-1]))
             continue
-        if len(block) == cols.shape[1]:  # every row, in order
-            sub_vals, sub_cols, sub_labels = vals, cols, labels
+        if len(block) == len(cols):  # every row, in order
+            sub_vals, sub_cols, sub_labels = *_canonical_tables(vals, cols), labels
         else:
-            sub_cols = restrict(cols.T, block).T.copy()
-            sub_vals = np.where(sub_cols >= 0, vals[:, block], 0.0)
+            sub_vals, sub_cols = _canonical_tables(vals[block], restrict(cols, block))
             sub_labels = labels[block]
         d = labelled_period(sub_cols.T, sub_labels)
         try:
@@ -520,16 +521,14 @@ def _surviving_radius(da, eps):
     outside every closed deadlock component (every pair when there is
     none).  Transient deadlock pairs stay in the restriction.  Its blocks
     and labels are those the analysis lifts from its one Tarjan pass
-    (`da.scc`), less the blocks it flags closed: every stored probability
-    is positive, so the canonical tables of the pair operator have the pair
-    graph's edges, and a block cut from them has the entries it has in the
-    restriction, in the same order, plus zero slots where a move enters a
-    closed component.  The closed rows are zeroed, so that the canonical
-    sort skips them.
+    (`da.scc`), less the blocks it flags closed.  `_radius_of_blocks` cuts
+    each from the pair automaton's (m, k) tables as they are: every stored
+    probability is positive, so their support is the pair graph, and a
+    move into a closed component leaves the block it is cut from.
     """
     blocks, labels, closed = da.scc
-    vals, cols = _canonical_tables(np.where(closed[:, None], 0.0, da.pa.weight), da.pa.delta2)
-    return _radius_of_blocks(vals, cols, [b for b in blocks if not closed[b[0]]], labels, eps)
+    surviving = [b for b in blocks if not closed[b[0]]]
+    return _radius_of_blocks(da.pa.weight, da.pa.delta2, surviving, labels, eps)
 
 
 def prediction_rate(m):

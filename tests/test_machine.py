@@ -444,11 +444,15 @@ class TestRandomMachine:
             ((3, 2), {"density": "0.5"}, "density"),
             ((3, 2), {"density": None}, "density"),
             ((3, 2), {"density": True}, "density"),
+            ((True, 2), {}, "n"),
+            ((3, True), {}, "k"),
+            ((3, 2), {"seed": False}, "seed"),
+            ((3, 2), {"max_tries": True}, "max_tries"),
         ],
     )
     def test_argument_types(self, args, kwargs, name):
-        # a float is refused, not truncated, and no argument of the wrong
-        # type escapes as a bare TypeError
+        # a float or a bool is refused, not truncated, and no argument of
+        # the wrong type escapes as a bare TypeError
         with pytest.raises(InputError, match=name):
             random_machine(*args, **kwargs)
 

@@ -309,15 +309,16 @@ class TestExactWordStats:
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):
             exact_word_stats(ref_ex, -2)
-        with pytest.raises(InputError, match="length must be an integer"):
-            exact_word_stats(ref_ex, 2.5)
+        for length in (2.5, True):
+            with pytest.raises(InputError, match="length must be an integer"):
+                exact_word_stats(ref_ex, length)
 
     def test_negative_budget(self, ref_ex):
         # a length-0 enumeration needs 0 steps, so only the sign can refuse it
         with pytest.raises(InputError, match="budget"):
             exact_word_stats(ref_ex, 0, budget=-5)
         # read as an integer, like the lengths: not truncated, not a TypeError
-        for budget in (None, 2.5):
+        for budget in (None, 2.5, True):
             with pytest.raises(InputError, match="budget must be an integer"):
                 exact_word_stats(ref_ex, 0, budget=budget)
 
@@ -410,13 +411,14 @@ class TestNonresetProfile:
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):
             nonreset_profile(ref_ex, -1)
-        with pytest.raises(InputError, match="max_length must be an integer"):
-            nonreset_profile(ref_ex, 2.5)
+        for length in (2.5, True):
+            with pytest.raises(InputError, match="max_length must be an integer"):
+                nonreset_profile(ref_ex, length)
 
     def test_negative_budget(self, ref_ex):
         with pytest.raises(InputError, match="budget"):
             nonreset_profile(ref_ex, 0, budget=-1)
-        for budget in (None, 2.5):
+        for budget in (None, 2.5, True):
             with pytest.raises(InputError, match="budget must be an integer"):
                 nonreset_profile(ref_ex, 0, budget=budget)
 
@@ -448,8 +450,9 @@ class TestResetThreshold:
         with pytest.raises(InputError, match="cap"):
             reset_threshold(ref_1, cap=-1)
         # a fractional cap is refused, not compared with the search length
-        with pytest.raises(InputError, match="cap must be an integer"):
-            reset_threshold(ref_ex, cap=0.5)
+        for cap in (0.5, True):
+            with pytest.raises(InputError, match="cap must be an integer"):
+                reset_threshold(ref_ex, cap=cap)
 
     def test_matches_profile_support(self, mixed_corpus):
         # the threshold is the first length with a reset word; before it
@@ -611,8 +614,9 @@ class TestSimulateBeliefs:
             simulate_beliefs(ref_ne, 5, 0, seed=1)
         with pytest.raises(InputError):
             simulate_beliefs(ref_ne, -1, 10, seed=1)
-        with pytest.raises(InputError, match="length must be an integer"):
-            simulate_beliefs(ref_ne, 2.5, 10, seed=1)
+        for length in (2.5, True):
+            with pytest.raises(InputError, match="length must be an integer"):
+                simulate_beliefs(ref_ne, length, 10, seed=1)
         with pytest.raises(InputError):
             simulate_beliefs(ref_ne, 5, 10, seed=1, record_at=[7])
         # a checkpoint that is no step would be left out of q_at
@@ -620,10 +624,12 @@ class TestSimulateBeliefs:
             simulate_beliefs(ref_ne, 10, 5, seed=0, record_at=[2.5, 3])
         with pytest.raises(InputError, match="seed"):
             simulate_beliefs(ref_ne, 3, 10, seed=-1)
-        # read with operator.index: a float is refused, not truncated
-        with pytest.raises(InputError, match="runs must be an integer"):
-            simulate_beliefs(ref_ne, 10, 2.5, seed=0)
+        # read with operator.index: a float is refused, not truncated, and a bool too
+        for runs in (2.5, True):
+            with pytest.raises(InputError, match="runs must be an integer"):
+                simulate_beliefs(ref_ne, 10, runs, seed=0)
         with pytest.raises(InputError, match="runs must be nonnegative"):
             simulate_beliefs(ref_ne, 10, -3, seed=0)
-        with pytest.raises(InputError, match="seed must be an integer"):
-            simulate_beliefs(ref_ne, 10, 5, seed=1.5)
+        for seed in (1.5, True):
+            with pytest.raises(InputError, match="seed must be an integer"):
+                simulate_beliefs(ref_ne, 10, 5, seed=seed)

@@ -785,15 +785,22 @@ def test_radius_blocks_and_periods_on_reducible_periodic_matrices(A):
     # the table spectral_radius reads: row a lists the b with A[a, b] > 0
     _, cols = rates._canonical_tables(A.copy(), np.broadcast_to(np.arange(len(A)), A.shape))
     assert_traversal_matches_references(cols.T)
-    handed = []  # per block iterated, whether it was handed its own period
+    alone = []  # per block of several rows, the canonical tables of that block alone
+    for block in strongly_connected_components(cols.T):
+        if len(block) > 1:
+            sub = A[np.ix_(block, block)]
+            columns = np.broadcast_to(np.arange(len(block)), sub.shape)
+            alone.append(reference_canonical_tables(sub, columns))
+    handed = []  # per block iterated, whether it was handed its own period and tables
 
     def record(vals, cols, d, eps):
-        handed.append(d == reference_period(cols.T))
+        own = any(np.array_equal(vals, v) and np.array_equal(cols, c) for v, c in alone)
+        handed.append(d == reference_period(cols.T) and own)
         return 0.0
 
     with mock.patch.object(rates, "_block_radius", record):
         spectral_radius(A)
-    assert all(handed)
+    assert len(handed) == len(alone) and all(handed)
 
 
 @pytest.mark.parametrize("n, k", [(32, 2), (40, 3)])

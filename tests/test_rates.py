@@ -199,6 +199,20 @@ def tarjan_rows(monkeypatch):
 
 
 @pytest.fixture
+def canonical_rows(monkeypatch):
+    """Row counts of the tables handed to `rates._canonical_tables`."""
+    calls = []
+    canonical = rates._canonical_tables
+
+    def counting(vals, cols):
+        calls.append(len(vals))
+        return canonical(vals, cols)
+
+    monkeypatch.setattr(rates, "_canonical_tables", counting)
+    return calls
+
+
+@pytest.fixture
 def analyses(monkeypatch):
     """Every DeadlockAnalysis built."""
     made = []
@@ -236,6 +250,24 @@ class TestOnePass:
         assert tarjan_rows == [trans_machine.n * (trans_machine.n - 1) // 2]
         (da,) = analyses
         assert "components" not in vars(da)
+
+    def test_radius_canonicalises_each_surviving_block_once(
+        self, ref_ex, trans_machine, canonical_rows, analyses
+    ):
+        # an exact machine's pair graph here is one block of every row,
+        # canonicalised in place; a non-exact machine's surviving blocks each
+        # get their own tables, and its closed component none
+        for m in (ref_ex, cycle_machine(12, 3, seed=1)):
+            canonical_rows.clear()
+            rate_report(m)
+            assert canonical_rows == [m.n * (m.n - 1)]
+        canonical_rows.clear()
+        analyses.clear()
+        rate_report(trans_machine)
+        (da,) = analyses
+        blocks, _, closed = da.scc
+        surviving = [len(block) for block in blocks if len(block) > 1 and not closed[block[0]]]
+        assert surviving and sorted(canonical_rows) == sorted(surviving)
 
     def test_classify_runs_the_closure_and_no_tarjan_pass(
         self, ref_ex, trans_machine, tarjan_rows, analyses
@@ -603,8 +635,9 @@ class TestNsynBounds:
     def test_negative_length(self, ref_ex):
         with pytest.raises(InputError):
             nsyn_bounds(ref_ex, -1)
-        with pytest.raises(InputError, match="length must be an integer"):
-            nsyn_bounds(ref_ex, 2.5)
+        for length in (2.5, True):
+            with pytest.raises(InputError, match="length must be an integer"):
+                nsyn_bounds(ref_ex, length)
 
     def test_row_sums_match_matrix_power(self):
         m = random_machine(4, 3, seed=11)
