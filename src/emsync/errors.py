@@ -1,11 +1,13 @@
-"""Exception hierarchy, and the integer-argument check that raises
-InputError.
+"""Exception hierarchy, and the two readers of scalar arguments, one for
+integers and one for reals, that raise InputError.
 
 The CLI exits with the `exit_code` of the error it catches: machine/input
 problems exit 2, resource and generation failures exit 3, and every other
 error (violated analysis preconditions, numerical failures) exits 1.
 """
 
+import math
+import numbers
 import operator
 
 
@@ -61,20 +63,29 @@ class InputError(EmsyncError):
     exit_code = 2
 
 
-def nonnegative_integer(value, name):
-    """value as an int, read with `operator.index` so that a float is
-    refused rather than truncated; InputError unless it is a nonnegative
-    integer.  A bool is refused too, although `operator.index` reads it as
-    0 or 1."""
+def integer(value, name, low=0, high=None):
+    """value as an int in [low, high] (no upper end when high is None),
+    read with `operator.index` so that a float is refused rather than
+    truncated; InputError unless it is one.  A bool is refused too,
+    although `operator.index` reads it as 0 or 1."""
     try:
         if isinstance(value, bool):
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer") from None
-    if value < 0:
-        raise InputError(f"{name} must be nonnegative")
+    if value < low or high is not None and value > high:
+        bounds = f"be at least {low}" if high is None else f"lie in [{low}, {high}]"
+        raise InputError(f"{name} must {bounds}")
     return value
+
+
+def real(value, name):
+    """value as a float; InputError unless it is a finite `numbers.Real`.
+    A bool is refused, although it is a `numbers.Real`."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise InputError(f"{name} must be a finite real number")
+    return float(value)
 
 
 class ImpossibleWordError(InputError):

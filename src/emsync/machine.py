@@ -8,7 +8,6 @@ may generate identical word distributions.
 
 import functools
 import math
-import numbers
 import string
 
 import numpy as np
@@ -24,7 +23,8 @@ from .errors import (
     NumericalError,
     RowSumError,
     UnknownNameError,
-    nonnegative_integer,
+    integer,
+    real,
 )
 from .graphs import is_strongly_connected
 
@@ -87,6 +87,8 @@ class EpsilonMachine:
             if delta[i][j] != -1:
                 raise DuplicateEdgeError(f"duplicate edge for state {src!r}, symbol {sym!r}")
             try:
+                if isinstance(prob, (bool, np.bool_)):
+                    raise TypeError
                 prob = float(prob)
             except (TypeError, ValueError):
                 raise EdgeProbabilityError(
@@ -130,13 +132,11 @@ class EpsilonMachine:
         return len(self.symbols)
 
     def state_index(self, state):
-        """Dense index of a state given by name or already as an index."""
-        if isinstance(state, (int, np.integer)):
-            if not 0 <= state < self.n:
-                raise InputError(f"state index {state} out of range")
-            return int(state)
+        """Dense index of a state: a string is its name, anything else its index."""
+        if not isinstance(state, str):
+            return integer(state, "state index", 0, self.n - 1)
         try:
-            return self._state_index[str(state)]
+            return self._state_index[state]
         except KeyError:
             raise InputError(f"unknown state {state!r}") from None
 
@@ -460,15 +460,11 @@ def random_machine(n, k, density=1.0, seed=0, max_tries=MAX_TRIES):
     max_tries is below 1, seed is negative, or density is not a real
     number in (0, 1] (a bool is refused).
     """
-    n, k = nonnegative_integer(n, "n"), nonnegative_integer(k, "k")
-    seed = nonnegative_integer(seed, "seed")
-    max_tries = nonnegative_integer(max_tries, "max_tries")
-    if n < 1 or k < 1:
-        raise InputError("need n >= 1 and k >= 1")
-    if isinstance(density, bool) or not (isinstance(density, numbers.Real) and 0.0 < density <= 1.0):
+    n, k = integer(n, "n", 1), integer(k, "k", 1)
+    seed = integer(seed, "seed")
+    max_tries = integer(max_tries, "max_tries", 1)
+    if not 0.0 < real(density, "density") <= 1.0:
         raise InputError("density must lie in (0, 1]")
-    if max_tries < 1:
-        raise InputError("max_tries must be at least 1")
     rng = np.random.default_rng(seed)
     states = [str(i) for i in range(n)]
     symbols = _default_symbols(k)

@@ -10,12 +10,11 @@ module is what the test suite certifies.
 
 import functools
 import itertools
-import math
 import operator
 
 import numpy as np
 
-from .errors import ImpossibleWordError, InputError, ResourceError, nonnegative_integer
+from .errors import ImpossibleWordError, InputError, ResourceError, integer
 from .machine import PROB_TOL, stationary_distribution
 from .pairs import build_pair_automaton, mergeable_pairs
 
@@ -201,8 +200,8 @@ def exact_word_stats(m, length, budget=ENUM_BUDGET, keep_words=False):
     and is refused up front when that exceeds the budget, naming the
     count, or writing it as L * k^L when the power is too large to form.
     """
-    length = nonnegative_integer(length, "length")
-    budget = nonnegative_integer(budget, "budget")
+    length = integer(length, "length")
+    budget = integer(budget, "budget")
     n, k = m.n, m.k
     if k > 1 and length > max(budget.bit_length(), 64):
         # k**L >= 2**L > budget: refused without forming the power, which
@@ -271,8 +270,8 @@ def nonreset_profile(m, max_length, budget=ENUM_BUDGET):
     entry [L, p] the probability that a word emitted from p after L steps
     leaves more than one live image state, and its stationary mixture.
     """
-    max_length = nonnegative_integer(max_length, "max_length")
-    budget = nonnegative_integer(budget, "budget")
+    max_length = integer(max_length, "max_length")
+    budget = integer(budget, "budget")
     n, k = m.n, m.k
     delta_ext, _ = _extended_tables(m)
     probs_ext = np.vstack([m.probs, np.zeros((1, k))])
@@ -337,7 +336,7 @@ def reset_threshold(m, cap=None):
     exhausted, which certifies that no reset word exists.
     """
     if cap is not None:
-        cap = nonnegative_integer(cap, "cap")
+        cap = integer(cap, "cap")
     n, k = m.n, m.k
     full = (1 << n) - 1
     if n == 1:
@@ -411,19 +410,15 @@ def simulate_beliefs(m, length, runs, seed, record_at=None):
     by symbol.  The table also gives the averaged log-likelihood ratio
     between the run's start state and each of its deadlock partners.
     """
-    runs = nonnegative_integer(runs, "runs")
-    if runs < 1:
-        raise InputError("runs must be at least 1")
-    length = nonnegative_integer(length, "length")
-    seed = nonnegative_integer(seed, "seed")
+    runs = integer(runs, "runs", 1)
+    length = integer(length, "length")
+    seed = integer(seed, "seed")
     if record_at is None:
         record_at = ()
     try:
-        record_at = sorted({operator.index(step) for step in record_at})
+        record_at = sorted({integer(step, "checkpoint", 0, length) for step in record_at})
     except TypeError:
-        raise InputError("checkpoints must be integers") from None
-    if record_at and (record_at[0] < 0 or record_at[-1] > length):
-        raise InputError("checkpoints must lie within the simulated length")
+        raise InputError("checkpoints must be an iterable of integers") from None
 
     n, k = m.n, m.k
     rng = np.random.default_rng(seed)

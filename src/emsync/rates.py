@@ -11,11 +11,10 @@ which an observer's residual uncertainty shrinks.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, PreconditionError, nonnegative_integer
+from .errors import ConvergenceError, InputError, PreconditionError, integer, real
 from .graphs import is_strongly_connected, labelled_period, restrict, tarjan
 from .machine import chain_matrix, solve_stationary, stationary_distribution
 from .pairs import build_pair_automaton, deadlock_analysis
@@ -206,7 +205,7 @@ def spectral_radius(mat, eps=1e-10, columns=None):
     into strongly connected blocks by one Tarjan pass (`graphs.tarjan`),
     whose depths also give each block's period, and `_radius_of_blocks`
     returns the largest block radius.  A zero matrix gives 0.  eps must
-    be a positive finite number, not a bool; one below the floating-point
+    be positive, read by `errors.real`; one below the floating-point
     resolution of the block that sets the radius raises ConvergenceError
     with that block's bracket.
     """
@@ -250,8 +249,8 @@ def _radius_of_blocks(vals, cols, blocks, labels, eps):
     the largest upper end is raised, whatever the block order.  No block
     gives 0.
     """
-    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and eps > 0 and math.isfinite(eps)):
-        raise InputError("eps must be a positive finite number")
+    if not real(eps, "eps") > 0:
+        raise InputError("eps must be positive")
     labels = np.asarray(labels)
     value, failures = 0.0, []
     for block in blocks:
@@ -321,7 +320,7 @@ def nsyn_bounds(m, length):
     v <- sum_j weight[:, j] * v[delta2[:, j]] from the all-ones vector,
     O(m k) each: `_step` on the transposed tables (undefined moves carry
     weight 0)."""
-    length = nonnegative_integer(length, "length")
+    length = integer(length, "length")
     pa = build_pair_automaton(m)
     vals, cols = pa.weight.T.copy(), pa.delta2.T.copy()
     v = np.ones(pa.count)

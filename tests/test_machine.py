@@ -138,7 +138,7 @@ class TestParsing:
         with pytest.raises(EdgeProbabilityError):
             parse_machine(bad)
 
-    @pytest.mark.parametrize("prob", ["abc", None, [1]])
+    @pytest.mark.parametrize("prob", ["abc", None, [1], True, np.True_])
     def test_non_numeric_probability_is_edge_probability_error(self, prob):
         edges = [("a", "x", "b", prob), ("b", "x", "a", 1.0)]
         with pytest.raises(EdgeProbabilityError, match="not a number"):
@@ -185,6 +185,10 @@ class TestWordProbability:
             word_probability(ref_ex, 5, "a")
         with pytest.raises(InputError):
             word_probability(ref_ex, 0, "z")
+        # a state that is not a string is an index, and a bool is none
+        for state in (True, np.True_):
+            with pytest.raises(InputError, match="state index must be an integer"):
+                word_probability(ref_ex, state, "a")
 
     def test_length_sum_is_one(self, ref_ex, ref_ne, ref_gm, mixed_corpus):
         for m in (ref_ex, ref_ne, ref_gm, *mixed_corpus[:5]):

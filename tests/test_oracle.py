@@ -622,13 +622,17 @@ class TestSimulateBeliefs:
         # a checkpoint that is no step would be left out of q_at
         with pytest.raises(InputError, match="checkpoint"):
             simulate_beliefs(ref_ne, 10, 5, seed=0, record_at=[2.5, 3])
+        with pytest.raises(InputError, match="checkpoint must be an integer"):
+            simulate_beliefs(ref_ne, 10, 5, seed=0, record_at=[True])
+        with pytest.raises(InputError, match="checkpoint"):
+            simulate_beliefs(ref_ne, 10, 5, seed=0, record_at=5)
         with pytest.raises(InputError, match="seed"):
             simulate_beliefs(ref_ne, 3, 10, seed=-1)
         # read with operator.index: a float is refused, not truncated, and a bool too
         for runs in (2.5, True):
             with pytest.raises(InputError, match="runs must be an integer"):
                 simulate_beliefs(ref_ne, 10, runs, seed=0)
-        with pytest.raises(InputError, match="runs must be nonnegative"):
+        with pytest.raises(InputError, match="runs must be at least 1"):
             simulate_beliefs(ref_ne, 10, -3, seed=0)
         for seed in (1.5, True):
             with pytest.raises(InputError, match="seed must be an integer"):

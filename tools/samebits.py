@@ -10,6 +10,9 @@ its exit code, stdout and stderr.  The set, built through `perfbench.gen`,
     ladders    the exact and non-exact ladders at each of --seeds
     corpus     the three acceptance-corpus recipes
     nonexact   the 1,000-machine non-exact corpus of the test suite
+    hard       Černý-24 and Černý-40 (slow radii), and rare-b-24, a
+               24-state permutation machine whose rare symbol b makes a
+               slow drift that switches to its dense seed
 
 The digests go to one JSON file with the BLAS thread count
 (`OPENBLAS_NUM_THREADS`, as set in the environment) and the numpy version
@@ -36,7 +39,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SETS = ("machines", "ladders", "corpus", "nonexact")
+SETS = ("machines", "ladders", "corpus", "nonexact", "hard")
 SEEDS = (1, 2, 3, 13)
 COMMANDS = (("validate",), ("sync-rate",), ("pred-rate",), ("bounds", "--length", "8"))
 
@@ -45,6 +48,7 @@ def machine_files(tree, sets, seeds, workdir):
     """(name, path) of every machine file of the chosen sets, the generated
     ones written under workdir."""
     import emsync
+    import numpy as np
     from perfbench import corpus, gen, workloads
 
     def written(group, specs):
@@ -72,6 +76,11 @@ def machine_files(tree, sets, seeds, workdir):
         _, (max_states,), seed_base = corpus.RECIPES["non-exact"]
         machines = corpus.nonexact_corpus(emsync, 1000, max_states, seed_base)
         yield from written("nonexact-1000", specs_of(machines))
+    if "hard" in sets:
+        rare_b = gen.permutation_spec(24, 2, np.random.default_rng(5), "rare-b-24")
+        rare_b.probs[:, 0] = 1 - 1e-4 * (1 + np.arange(24) / 24)
+        rare_b.probs[:, 1] = 1 - rare_b.probs[:, 0]
+        yield from written("hard", [gen.cerny_spec(24), gen.cerny_spec(40), rare_b])
 
 
 def digest(cli_main, argv):
